@@ -134,8 +134,12 @@ class RunWord(NamedTuple):
 _WORD_TOKEN = re.compile(r"([XY])(?:\^(\d+))?")
 
 
-def word_parse(text: str) -> Word:
-    """Parse word text: a concatenation of X, Y, X^k, Y^k tokens (k >= 1)."""
+def word_parse(text: str, max_length: int | None = None) -> Word:
+    """Parse word text: a concatenation of X, Y, X^k, Y^k tokens (k >= 1).
+
+    With max_length, a word longer than that is rejected before its bits are
+    built, so a huge exponent costs no memory.
+    """
     bits = 0
     n = 0
     pos = 0
@@ -147,6 +151,8 @@ def word_parse(text: str) -> Word:
         mult = 1 if m.group(2) is None else int(m.group(2))
         if mult < 1:
             raise WordParseError(text, pos, "exponent must be >= 1")
+        if max_length is not None and n + mult > max_length:
+            raise WordParseError(text, pos, f"the word is longer than {max_length} letters")
         if letter == Y:
             bits = (bits << mult) | ((1 << mult) - 1)
         else:

@@ -21,10 +21,10 @@ from .census import (
     property_report_to_json,
     property_suite,
 )
-from .engine import PRESET_NAMES, engine_coefficient, preset, series_terms
+from .engine import MAX_DEGREE, PRESET_NAMES, engine_coefficient, preset, series_terms
 from .forms import check_forms
 from .lie import dynkin_series, expand_comm_poly, format_comm_poly
-from .oracle import goldberg_direct
+from .oracle import MAX_DP_LENGTH, goldberg_direct
 
 VERIFY_SUITES = ("properties", "bounds", "dynkin", "oracle", "commutator-forms")
 
@@ -44,6 +44,14 @@ _format_option = click.option(
     help="Output format.",
 )
 
+_max_option = click.option(
+    "--max",
+    "max_n",
+    type=click.IntRange(min=2, max=MAX_DEGREE),
+    required=True,
+    help="Largest degree.",
+)
+
 
 @click.group()
 def main() -> None:
@@ -52,7 +60,12 @@ def main() -> None:
 
 @main.command()
 @_variant_option
-@click.option("--order", type=click.IntRange(min=1), required=True, help="Truncation degree N.")
+@click.option(
+    "--order",
+    type=click.IntRange(min=1, max=MAX_DEGREE),
+    required=True,
+    help="Truncation degree N.",
+)
 @_format_option
 @click.option("--quiet", is_flag=True, help="Print only per-degree term counts, not the terms.")
 def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
@@ -104,12 +117,16 @@ def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
     type=click.Choice(("engine", "oracle", "both")),
     default="engine",
     show_default=True,
-    help="Compute via the matrix engine, the direct block sum, or both.",
+    help=(
+        f"Compute via the matrix engine (words up to {MAX_DEGREE} letters), the direct"
+        f" block sum (up to {MAX_DP_LENGTH} letters), or both."
+    ),
 )
 def goldberg(word_text: str, mode: str) -> None:
     """Print the coefficient of one word in the standard-product series."""
+    limit = MAX_DP_LENGTH if mode == "oracle" else MAX_DEGREE
     try:
-        w = word_parse(word_text)
+        w = word_parse(word_text, max_length=limit)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if w.length < 1:
@@ -129,7 +146,7 @@ def goldberg(word_text: str, mode: str) -> None:
 
 
 @main.command()
-@click.option("--max", "max_n", type=click.IntRange(min=2), required=True, help="Largest degree.")
+@_max_option
 @_variant_option
 @_format_option
 def census(max_n: int, variant: str, fmt: str) -> None:
@@ -147,7 +164,7 @@ def census(max_n: int, variant: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("suite", type=click.Choice(VERIFY_SUITES))
-@click.option("--max", "max_n", type=click.IntRange(min=2), required=True, help="Largest degree.")
+@_max_option
 @click.option(
     "--format",
     "fmt",
@@ -201,11 +218,10 @@ def verify(suite: str, max_n: int, fmt: str) -> None:
         if fmt == "json":
             click.echo(json.dumps({"suite": "bounds", "rows": rows_payload}, indent=2))
     elif suite == "dynkin":
+        series = series_terms(preset("standard"), max_n)
         rows_payload = []
         for n in range(1, max_n + 1):
-            expanded = expand_comm_poly(dynkin_series(n))
-            body = series_terms(preset("standard"), max_n)[n - 1].body
-            ok = expanded == body
+            ok = expand_comm_poly(dynkin_series(n)) == series[n - 1].body
             failures += 0 if ok else 1
             if fmt == "json":
                 rows_payload.append({"n": n, "pass": ok})

@@ -1,11 +1,33 @@
-"""Series terms via nilpotent-matrix exponentials and logarithms.
+"""Series terms of ln(prod_i exp(a_i X + b_i Y)) via nilpotent matrices.
 
-The degree-1..N terms of ln(prod_i exp(a_i X + b_i Y)) are read off the first
-row of the matrix logarithm of a product of exponentials of (N+1)x(N+1)
-strictly upper-triangular generator matrices.  Both exp and log are finite
+The paper's route: with X_N and Y_N the (N+1)x(N+1) matrices carrying the
+letters X and Y on the first superdiagonal, the degree-1..N terms are the
+first row of log(prod_i exp(a_i X_N + b_i Y_N)).  Both exp and log are finite
 sums because every strictly upper-triangular matrix of order N+1 is nilpotent
 of index <= N+1.  Entries are genuinely noncommutative FreePoly values, so no
-positional decoration of the generators is needed.
+positional decoration of the generators is needed.  UTMatrix, nilpotent_exp,
+nilpotent_log, factor_matrix and product_matrix implement this route as
+written; series_terms(..., full_matrix=True) runs it, and it is the spec
+route the default path is tested against.
+
+Every matrix in that pipeline is upper-triangular Toeplitz: entry (i, j)
+depends only on j - i and is homogeneous of word degree j - i.  Such a matrix
+is fixed by its first row, a graded series truncated at degree N, and the
+matrix product is the series product.  So the default path of series_terms
+works on first rows only, as exact integer word vectors:
+
+- the degree-d part is a list of 2^d ints indexed by Word.bits and scaled by
+  d! * L^d, where L is the lcm of the factor denominators; the logarithm also
+  multiplies by M = lcm(1..N), so every step is integer arithmetic;
+- in that scaling the degree-d part of exp(a X + b Y) gives each word
+  (aL)^#X (bL)^#Y;
+- concatenating a degree-i and a degree-j part is their Kronecker product,
+  weighted by binom(i + j, i);
+- M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, evaluated by Horner's rule.
+
+The integers become Fraction coefficients and FreePoly terms once, at the
+end.  Memory doubles per degree (a few dense series of 2^(N+1) ints), so the
+command-line interface caps the series degree at MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -13,12 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
-
-_ONE = Fraction(1)
 
 
 class ExpFactor(NamedTuple):
@@ -89,6 +109,10 @@ PRESETS: dict[str, VariantPreset] = {
 }
 
 PRESET_NAMES: tuple[str, ...] = tuple(PRESETS)
+
+# The largest degree, or word length, that the command-line interface sends
+# to series_terms.  The default path's memory doubles per degree.
+MAX_DEGREE = 20
 
 
 def preset(name: str) -> VariantPreset:
@@ -283,46 +307,76 @@ def product_matrix(factors: Iterable[ExpFactor], degree: int) -> UTMatrix:
     return acc
 
 
-def _log_first_row(p: UTMatrix) -> list[FreePoly]:
-    """First row of nilpotent_log(p) by row-vector propagation.
+def _exp_series(factor: ExpFactor, scale: int, degree: int) -> list[list[int]]:
+    """exp(a*X + b*Y) as a scaled graded series: each word gets (aL)^#X (bL)^#Y."""
+    a = int(factor.a * scale)
+    b = int(factor.b * scale)
+    parts = [[1]]
+    for _ in range(degree):
+        parts.append([c * letter for c in parts[-1] for letter in (a, b)])
+    return parts
 
-    Returns the same values as reading row 0 of the full log matrix, without
-    forming the full powers of P - I.
+
+def _graded_mul(left: list[list[int]], right: list[list[int]], degree: int) -> list[list[int]]:
+    """The product of two scaled graded series, truncated at the given degree.
+
+    Parts of degrees i and j concatenate into their Kronecker product at degree
+    i + j, indexed (u << j) | v; the weight binom(i + j, i) keeps the d!
+    scaling.  Each pair of parts is added either as one stride-2^j slice per
+    non-zero right entry v or as one contiguous slice per non-zero left entry
+    u, whichever touches fewer elements, counting a slice as 16 elements.
     """
-    order = p.order
-    zero = FreePoly.zero()
-    one = FreePoly.one()
-    a_rows = [
-        [entry - one if i == j else entry for j, entry in enumerate(row)]
-        for i, row in enumerate(p.rows)
-    ]
-    current = list(a_rows[0])
-    acc = list(current)
-    for k in range(2, order):
-        nxt = [zero] * order
-        for j in range(k, order):
-            total = zero
-            for c in range(k - 1, j):
-                left = current[c]
-                if not left:
-                    continue
-                right = a_rows[c][j]
-                if right:
-                    total = total + left * right
-            nxt[j] = total
-        current = nxt
-        coeff = Fraction((-1) ** (k - 1), k)
-        for j in range(k, order):
-            if current[j]:
-                acc[j] = acc[j] + current[j].scale(coeff)
-    return acc
+    out = [[0] * (1 << d) for d in range(degree + 1)]
+    left_nz = [[(u, c) for u, c in enumerate(part) if c] for part in left[: degree + 1]]
+    for j, right_j in enumerate(right[: degree + 1]):
+        right_nz = [(v, c) for v, c in enumerate(right_j) if c]
+        if not right_nz:
+            continue
+        step = 1 << j
+        for i in range(min(len(left_nz), degree + 1 - j)):
+            if not left_nz[i]:
+                continue
+            left_i = left[i]
+            out_d = out[i + j]
+            weight = comb(i + j, i)
+            if len(right_nz) * (16 + len(left_i)) <= len(left_nz[i]) * (16 + step):
+                for v, c in right_nz:
+                    c *= weight
+                    out_d[v::step] = [o + c * x for o, x in zip(out_d[v::step], left_i)]
+            else:
+                for u, c in left_nz[i]:
+                    c *= weight
+                    lo = u << j
+                    out_d[lo : lo + step] = [
+                        o + c * y for o, y in zip(out_d[lo : lo + step], right_j)
+                    ]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _cached_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
-    p = product_matrix(factors, degree)
-    first_row = _log_first_row(p)
-    return tuple(SeriesTerm(n, first_row[n]) for n in range(1, degree + 1))
+    # degree-d parts are scaled by d! * L^d (products) and then by M (the log)
+    scale = lcm(*(q.denominator for factor in factors for q in factor))
+    product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
+    for factor in factors:
+        product = _graded_mul(product, _exp_series(factor, scale, degree), degree)
+    # M * log(1 + A) = A * R_1 by Horner's rule, with R_N = c_N and
+    # R_k = c_k + R_(k+1) * A, where c_k = (-1)^(k-1) M/k.  R_k only matters
+    # up to degree N - k + 1, because A^(k-1) multiplies it.
+    a = [[0]] + product[1:]
+    m = lcm(*range(1, degree + 1))
+    horner = [[0]]
+    for k in range(degree, 0, -1):
+        if k < degree:
+            horner = _graded_mul(horner, a, degree - k + 1)
+        horner[0][0] = m // k if k % 2 else -(m // k)
+    log = _graded_mul(horner, a, degree)
+    terms = []
+    for d in range(1, degree + 1):
+        den = factorial(d) * scale**d * m
+        body = {Word(d, bits): Fraction(c, den) for bits, c in enumerate(log[d]) if c}
+        terms.append(SeriesTerm(d, FreePoly._raw(body)))
+    return tuple(terms)
 
 
 def series_terms(
@@ -330,9 +384,10 @@ def series_terms(
 ) -> tuple[SeriesTerm, ...]:
     """The homogeneous terms of degrees 1..N of the variant's series.
 
-    The default path propagates only the first row through the logarithm; with
-    full_matrix=True the entire log matrix is formed instead.  Both paths
-    produce identical terms.
+    The default path computes the first row as a graded series of integer
+    word vectors and caches the result per (factors, degree); with
+    full_matrix=True the full matrix logarithm (the spec route) is formed
+    instead.  Both paths produce identical terms.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -348,7 +403,7 @@ def series_term(variant: VariantPreset, degree: int) -> FreePoly:
 
 
 def engine_coefficient(w: Word) -> Fraction:
-    """The coefficient of word w in the standard-product series, via the matrices."""
+    """The coefficient of word w in the standard-product series, via the engine."""
     if w.length < 1:
         raise ValueError("coefficient of the empty word is undefined")
     return series_term(PRESETS["standard"], w.length).coeff(w)

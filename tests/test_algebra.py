@@ -50,6 +50,15 @@ class TestWordParse:
         with pytest.raises(WordParseError):
             w("X^")
 
+    def test_max_length(self):
+        assert w("X^2Y^3") == word_parse("X^2Y^3", max_length=5)
+        with pytest.raises(WordParseError) as info:
+            word_parse("XY^5", max_length=5)
+        assert info.value.position == 1
+        # rejected before the bits of the huge run are built
+        with pytest.raises(WordParseError):
+            word_parse("Y^99999999999999", max_length=128)
+
     def test_round_trip_is_canonical(self):
         for word in all_words(6):
             assert w(word_format(word)) == word

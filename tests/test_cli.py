@@ -7,6 +7,8 @@ import json
 from click.testing import CliRunner
 
 from bchseries.cli import main
+from bchseries.engine import MAX_DEGREE
+from bchseries.oracle import MAX_DP_LENGTH, goldberg_xy
 
 
 def run(*args: str):
@@ -36,6 +38,12 @@ class TestTerms:
 
     def test_zero_order_is_usage_error(self):
         result = run("terms", "--variant", "standard", "--order", "0")
+        assert result.exit_code == 2
+
+    def test_order_above_cap_is_usage_error(self):
+        result = run("terms", "--order", str(MAX_DEGREE + 1))
+        assert result.exit_code == 2
+        result = run("terms", "--order", "1000000")
         assert result.exit_code == 2
 
     def test_unknown_variant_is_usage_error(self):
@@ -92,6 +100,23 @@ class TestGoldberg:
         result = run("goldberg", "--word", "")
         assert result.exit_code == 2
 
+    def test_engine_word_above_cap_is_usage_error(self):
+        for mode in ("engine", "both"):
+            result = run("goldberg", "--word", f"X^{MAX_DEGREE}Y", "--mode", mode)
+            assert result.exit_code == 2
+            assert f"longer than {MAX_DEGREE} letters" in result.output
+
+    def test_oracle_word_above_its_cap_is_usage_error(self):
+        for text in (f"X^{MAX_DP_LENGTH}Y", "X^99999999", "Y^99999999999999"):
+            result = run("goldberg", "--word", text, "--mode", "oracle")
+            assert result.exit_code == 2
+            assert f"longer than {MAX_DP_LENGTH} letters" in result.output
+
+    def test_oracle_mode_reaches_past_the_engine_cap(self):
+        result = run("goldberg", "--word", "X^10Y^11", "--mode", "oracle")
+        assert result.exit_code == 0
+        assert result.output.strip() == str(goldberg_xy(10, 11))
+
 
 class TestCensus:
     def test_csv_matches_low_order_counts(self):
@@ -109,6 +134,10 @@ class TestCensus:
 
     def test_max_below_two_is_usage_error(self):
         result = run("census", "--max", "1")
+        assert result.exit_code == 2
+
+    def test_max_above_cap_is_usage_error(self):
+        result = run("census", "--max", str(MAX_DEGREE + 1))
         assert result.exit_code == 2
 
     def test_json_round_trips_byte_identically(self):
@@ -167,6 +196,11 @@ class TestVerify:
         assert rows["sum_difference degree 3"]["matches"] is False
         assert rows["sum_difference degree 3"]["pass"] is True
         assert rows["sum_difference degree 3"]["engine_form_is_lie"] is True
+
+    def test_max_above_cap_is_usage_error(self):
+        for suite in ("properties", "bounds", "dynkin", "oracle", "commutator-forms"):
+            result = run("verify", suite, "--max", str(MAX_DEGREE + 1))
+            assert result.exit_code == 2
 
     def test_unknown_suite_is_usage_error(self):
         result = run("verify", "everything", "--max", "4")

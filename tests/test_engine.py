@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchseries import (
     FreePoly,
@@ -24,8 +25,15 @@ from bchseries import (
     series_terms,
     word_parse,
 )
-from bchseries.engine import PRESET_NAMES, exp_factor, factor_matrix, product_matrix
-from conftest import strictly_upper_matrices
+from bchseries import engine
+from bchseries.engine import (
+    PRESET_NAMES,
+    VariantPreset,
+    exp_factor,
+    factor_matrix,
+    product_matrix,
+)
+from conftest import small_fractions, strictly_upper_matrices
 
 w = word_parse
 F = Fraction
@@ -444,6 +452,28 @@ class TestSeriesInvariants:
             assert series_terms(preset(name), 6, full_matrix=True) == series_terms(
                 preset(name), 6
             )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        factors=st.lists(
+            st.tuples(small_fractions(max_num=3, max_den=7), small_fractions(max_num=3, max_den=7)),
+            min_size=1,
+            max_size=4,
+        ),
+        degree=st.integers(min_value=1, max_value=5),
+    )
+    def test_default_path_matches_full_matrix_on_random_factors(self, factors, degree):
+        # the presets only use denominators 1 and 2; this exercises the L and M scaling
+        variant = VariantPreset("random", tuple(exp_factor(a, b) for a, b in factors))
+        assert series_terms(variant, degree) == series_terms(variant, degree, full_matrix=True)
+
+    def test_default_path_does_not_form_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default path formed a matrix product")
+
+        monkeypatch.setattr(engine, "product_matrix", refuse)
+        variant = VariantPreset("uncached", (exp_factor(F(1, 3), 2), exp_factor(-1, F(1, 5))))
+        assert series_terms(variant, 3)[0].body == poly({"X": F(-2, 3), "Y": F(11, 5)})
 
     def test_homogeneity_of_terms(self):
         for name in PRESET_NAMES:
