@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import Coeff, FreePoly, Word, word_format, word_parse
+from .algebra import Coeff, FreePoly, Word, X, Y, word_format, word_parse
 from .engine import PRESETS, series_term
 
 _ZERO = Fraction(0)
@@ -94,19 +94,36 @@ def expand_comm_poly(p: CommPoly) -> FreePoly:
     return acc
 
 
+def expand_slots(slots: Sequence[FreePoly]) -> FreePoly:
+    """Expand [s1 s2 ... sm] = [s1,[s2,[...,[s_{m-1},s_m]...]]] for Lie-element slots.
+
+    The bracket is folded from the right, so a slot may hold any polynomial,
+    such as [X,Y] = XY - YX, where expand_nested takes only letters.
+    """
+    if not slots:
+        raise ValueError("cannot expand the commutator of no slots")
+    acc = slots[-1]
+    for slot in reversed(slots[:-1]):
+        acc = slot * acc - acc * slot
+    return acc
+
+
 def rewrite_identity_check(w1: Word, w2: Word) -> bool:
     """Check [w1 X Y w2] = [w1 Y X w2] + [w1 [X,Y] w2] after expansion.
 
-    The middle [X,Y] block is spliced bilinearly as the two words XY - YX.
+    [X,Y] fills one slot of the right-nested bracket.  With z = [w2] the
+    identity is Jacobi's, [X,[Y,z]] = [Y,[X,z]] + [[X,Y],z], bracketed with
+    the letters of w1; it needs w2 to be non-empty.
     """
-    xy = word_parse("XY")
-    yx = word_parse("YX")
-    lhs_word = w1.concat(xy).concat(w2)
-    rhs_word = w1.concat(yx).concat(w2)
-    lhs = expand_nested(lhs_word)
-    spliced = expand_nested(lhs_word) - expand_nested(rhs_word)
-    rhs = expand_nested(rhs_word) + spliced
-    return lhs == rhs
+    if w2.length < 1:
+        raise ValueError("the rewrite identity needs a non-empty w2")
+    x = FreePoly.from_letter(X)
+    y = FreePoly.from_letter(Y)
+    head = [FreePoly.from_letter(letter) for letter in w1.letters()]
+    lhs = expand_nested(w1.concat(word_parse("XY")).concat(w2))
+    swapped = expand_nested(w1.concat(word_parse("YX")).concat(w2))
+    bracketed = expand_slots(head + [x * y - y * x, expand_nested(w2)])
+    return lhs == swapped + bracketed
 
 
 def dynkin_series(n: int) -> CommPoly:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bchseries
 from bchseries import (
     EMPTY_WORD,
     FreePoly,
@@ -226,3 +228,14 @@ def test_poly_linear_laws(p, q, c):
 def test_letter_has_exactly_two_values():
     assert list(Letter) == [X, Y]
     assert {int(X), int(Y)} == {0, 1}
+
+
+def test_package_exports_are_explicit():
+    # __all__ lists every re-exported name and none of the submodules
+    public = {
+        name
+        for name, value in vars(bchseries).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(bchseries.__all__) == len(set(bchseries.__all__))
+    assert set(bchseries.__all__) == public

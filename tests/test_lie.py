@@ -25,8 +25,9 @@ from bchseries import (
     verify_commutator_form,
     word_parse,
 )
+from bchseries import lie
 from bchseries.forms import CLAIMED_FORMS, check_form, check_forms
-from bchseries.lie import format_comm_poly
+from bchseries.lie import expand_slots, format_comm_poly
 
 w = word_parse
 F = Fraction
@@ -92,7 +93,10 @@ class TestExpandCommPoly:
 
 class TestRewriteIdentity:
     def test_degenerate_splice(self):
-        assert rewrite_identity_check(w(""), w(""))
+        # with w2 empty the identity would read [X,Y] = [Y,X] + [X,Y]
+        assert rewrite_identity_check(w(""), w("X"))
+        with pytest.raises(ValueError):
+            rewrite_identity_check(w("X"), w(""))
 
     def test_nested_instance(self):
         assert rewrite_identity_check(w("Y"), w("XY"))
@@ -100,9 +104,31 @@ class TestRewriteIdentity:
     def test_exhaustive_small(self):
         for n1 in range(0, 6):
             for w1 in all_words(n1):
-                for n2 in range(0, 6 - n1):
+                for n2 in range(1, 6 - n1):
                     for w2 in all_words(n2):
                         assert rewrite_identity_check(w1, w2)
+
+    def test_wrong_right_hand_side_fails(self, monkeypatch):
+        # an expansion that forgets to bracket breaks the identity
+        monkeypatch.setattr(lie, "expand_nested", FreePoly.from_word)
+        assert not rewrite_identity_check(w("Y"), w("XY"))
+
+    def test_wrong_slot_sign_fails(self):
+        # [w1 Y X w2] - [w1 [X,Y] w2] is not [w1 X Y w2]
+        x, y = FreePoly.from_letter(X), FreePoly.from_letter(Y)
+        z = expand_nested(w("Y"))
+        lhs, swapped = expand_slots([x, y, z]), expand_slots([y, x, z])
+        bracketed = expand_slots([bracket(x, y), z])
+        assert lhs == swapped + bracketed
+        assert lhs != swapped - bracketed
+
+    def test_slots_of_letters_match_expand_nested(self):
+        for n in range(1, 6):
+            for word in all_words(n):
+                slots = [FreePoly.from_letter(letter) for letter in word.letters()]
+                assert expand_slots(slots) == expand_nested(word)
+        with pytest.raises(ValueError):
+            expand_slots([])
 
     def test_yxxy_equals_xyxy(self):
         # consequence of the rewrite identity with the inner bracket degenerate

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 
 from bchseries import (
     BlockSeq,
+    Word,
     X,
     Y,
     all_words,
@@ -119,6 +121,123 @@ class TestGoldbergDirect:
         for n in range(1, 7):
             for word in all_words(n):
                 assert goldberg_direct(word) == engine_coefficient(word), word
+
+    # Values of the Fraction block-sum loop that the integer dynamic program
+    # replaced: the first non-zero coefficient among random.Random(2026)'s
+    # words of each length.
+    PINNED = (
+        ("XYXYX^3Y^3X^2YX^2Y", "1/25945920"),
+        ("YX^7YXYX^2YX^2Y^2X", "1/1150269120"),
+        ("Y^4X^2Y^3X^3YXY^2X^2YXY^3", "-11/5046604093440"),
+        ("YX^5Y^2X^5Y^2XY^2XYX^6Y", "-1759/111025290055680000"),
+        ("YXYX^2YXY^2XYXY^3XY^2X^3Y^4X^2YXY^2", "479/166352892933427200"),
+        ("Y^5XY^3X^4YXYX^3Y^9X^2YX^4", "-15233/228755890563847815168000"),
+        (
+            "Y^3X^3YX^4Y^2XYX^2YX^3Y^2X^2Y^2XYX^3YX^4YX^2",
+            "79/5801421034140873523200",
+        ),
+        (
+            "Y^3X^2YXYX^3YX^3Y^3X^2YX^2YXYX^2YX^2YXY^2XYX^2YX^3YX",
+            "1/6048761188983546249216",
+        ),
+        (
+            "XY^2XYXY^3XYXY^2XYXY^2X^3Y^3X^2Y^4XYXYXYX^2Y^2XY^3XYX^2Y",
+            "135823/12338263073288637639150796800",
+        ),
+        (
+            "YX^2YX^2YXYX^2YX^2Y^4XY^6X^2YX^3YX^3YXY^2X^2YXYX^4Y^3XYXY",
+            "476423/20925694172297529435999751372800",
+        ),
+        (
+            "Y^2XYXY^4XYX^2Y^4XYX^3Y^4X^2YX^3Y^2X^4Y^4XYXYXY^5X^3YXY^2X",
+            "-8667053/627475403604140506193837250576384000",
+        ),
+        (
+            "XY^5XY^2XYXYXY^5XYX^2YX^2YXYX^2Y^3X^3YX^2YXYX^3Y^2X^2Y^2XYX^2YXY^6",
+            "29149/151160606586728206057419256627200000",
+        ),
+    )
+
+    @pytest.mark.parametrize("text, value", PINNED)
+    def test_pinned_long_words(self, text, value):
+        assert goldberg_direct(w(text)) == F(value)
+
+    def test_cap_length_matches_closed_form(self):
+        # X^127 Y makes the dynamic program visit every (k, u, r) of a
+        # MAX_DP_LENGTH-letter word; B_127 = 0, so check X^126 Y^2 as well
+        assert oracle.MAX_DP_LENGTH == 128
+        assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
+        assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
+
+
+def _matmul(a, b):
+    size = len(a)
+    out = [[F(0)] * size for _ in range(size)]
+    for i, row in enumerate(a):
+        for k, entry in enumerate(row):
+            if entry:
+                for j, other in enumerate(b[k]):
+                    if other:
+                        out[i][j] += entry * other
+    return out
+
+
+def _reinsch_coefficient(word):
+    """The (0, n) entry of log(exp(X_w) exp(Y_w)) for scalar (n+1)x(n+1) X_w, Y_w.
+
+    X_w has a 1 at (i, i+1) exactly when letter i+1 of the word is X, and
+    Y_w likewise, so every path from 0 to n through them spells the word.
+    """
+    n = word.length
+    exps = []
+    for letter in (X, Y):
+        gen = [[F(0)] * (n + 1) for _ in range(n + 1)]
+        for i, each in enumerate(word.letters()):
+            if each == letter:
+                gen[i][i + 1] = F(1)
+        total = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+        power = gen
+        for j in range(1, n + 1):
+            if not any(any(row) for row in power):
+                break
+            total = [
+                [t + p / factorial(j) for t, p in zip(trow, prow)]
+                for trow, prow in zip(total, power)
+            ]
+            power = _matmul(power, gen)
+        exps.append(total)
+    nilpotent = _matmul(*exps)
+    for i in range(n + 1):
+        nilpotent[i][i] -= 1
+    # only row 0 of log(1 + N) = sum (-1)^(k-1) N^k / k is needed
+    row = nilpotent[0]
+    coefficient = F(0)
+    for k in range(1, n + 1):
+        coefficient += F((-1) ** (k - 1), k) * row[n]
+        row = [
+            sum((row[i] * nilpotent[i][j] for i in range(j) if row[i]), F(0))
+            for j in range(n + 1)
+        ]
+    return coefficient
+
+
+class TestReinschMatrices:
+    """A third route to the coefficient: Reinsch's word-specialised matrices."""
+
+    def test_short_words_match_engine(self):
+        for n in range(1, 6):
+            for word in all_words(n):
+                assert _reinsch_coefficient(word) == engine_coefficient(word), word
+
+    @pytest.mark.parametrize("n", [16, 20, 24, 28, 32])
+    def test_long_words_match_direct_sum(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            word = Word(n, rng.getrandbits(n))
+            assert _reinsch_coefficient(word) == goldberg_direct(word), word
+        a = rng.randint(1, n - 1)
+        word = Word.from_runs([(X, a), (Y, n - a)])
+        assert _reinsch_coefficient(word) == goldberg_xy(a, n - a)
 
 
 class TestBernoulli:
