@@ -16,19 +16,20 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (
+    Letter,
     RunWord,
     Word,
     X,
+    Y,
     all_words,
     cyclic_shift,
     interchange,
     reverse,
-    word_format,
 )
-from .engine import PRESETS, VariantPreset, series_term, series_terms
+from .engine import PRESETS, SeriesTerm, VariantPreset, series_term, series_terms
 
 _ZERO = Fraction(0)
 
@@ -44,34 +45,25 @@ class CensusRecord:
     variant: str
 
 
+def _census_record(term: SeriesTerm, variant: VariantPreset) -> CensusRecord:
+    count = len(term.body)
+    bound = (1 << term.degree) - 2
+    ratio = Fraction(count, bound) if bound > 0 else None
+    return CensusRecord(term.degree, count, bound, ratio, variant.name)
+
+
 def census(n: int, variant: VariantPreset) -> CensusRecord:
     """Count the words of length n with a non-zero coefficient."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    count = len(series_term(variant, n))
-    bound = (1 << n) - 2
-    ratio = Fraction(count, bound) if bound > 0 else None
-    return CensusRecord(n=n, count=count, bound=bound, ratio=ratio, variant=variant.name)
+    return _census_record(series_terms(variant, n)[-1], variant)
 
 
 def census_sweep(max_n: int, variant: VariantPreset) -> list[CensusRecord]:
     """Census records for n = 2..max_n, from a single series run."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    terms = series_terms(variant, max_n)
-    records = []
-    for term in terms[1:]:
-        bound = (1 << term.degree) - 2
-        records.append(
-            CensusRecord(
-                n=term.degree,
-                count=len(term.body),
-                bound=bound,
-                ratio=Fraction(len(term.body), bound),
-                variant=variant.name,
-            )
-        )
-    return records
+    return [_census_record(term, variant) for term in series_terms(variant, max_n)[1:]]
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:
@@ -130,28 +122,10 @@ PROPERTY_NAMES: tuple[str, ...] = (
 )
 
 
-def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All distinct orderings of a multiset of integers."""
-    pool = sorted(values)
-    result: list[int] = []
-
-    def build() -> Iterator[tuple[int, ...]]:
-        if not pool:
-            yield tuple(result)
-            return
-        previous = None
-        for i in range(len(pool)):
-            value = pool[i]
-            if value == previous:
-                continue
-            previous = value
-            pool.pop(i)
-            result.append(value)
-            yield from build()
-            result.pop()
-            pool.insert(i, value)
-
-    return build()
+def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
+    """The first letter and sorted run multiplicities: the words that permute w's runs."""
+    runs = RunWord.from_word(w)
+    return runs.runs[0][0], tuple(sorted(runs.multiplicities()))
 
 
 def property_suite(n: int) -> PropertyReport:
@@ -187,17 +161,10 @@ def property_suite(n: int) -> PropertyReport:
         witness = Word.from_runs([run for run in runs if run[1] > 0])
         checks["fixed_content_sum"] = CheckResult(False, witness)
 
-    def exponent_permutation_ok(w: Word) -> bool:
-        runs = RunWord.from_word(w)
-        letters = [letter for letter, _ in runs.runs]
-        value = coeff(w)
-        for mults in _distinct_permutations(runs.multiplicities()):
-            permuted = Word.from_runs(list(zip(letters, mults)))
-            if coeff(permuted) != value:
-                return False
-        return True
-
-    per_word("exponent_permutation", exponent_permutation_ok)
+    class_values: dict[tuple[Letter, tuple[int, ...]], set[Fraction]] = {}
+    for w in all_words(n):
+        class_values.setdefault(_run_class(w), set()).add(coeff(w))
+    per_word("exponent_permutation", lambda w: len(class_values[_run_class(w)]) == 1)
 
     def cyclic_sum_ok(w: Word) -> bool:
         total = _ZERO
@@ -238,20 +205,6 @@ def property_suite(n: int) -> PropertyReport:
 
     ordered = {name: checks[name] for name in PROPERTY_NAMES}
     return PropertyReport(n=n, checks=ordered)
-
-
-def property_report_to_json(report: PropertyReport) -> str:
-    payload = {
-        "n": report.n,
-        "checks": {
-            name: {
-                "pass": result.passed,
-                "witness": word_format(result.witness) if result.witness else None,
-            }
-            for name, result in report.checks.items()
-        },
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _is_prime(n: int) -> bool:

@@ -9,24 +9,19 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Any, Callable, Iterator
 
 import click
 
-from .algebra import word_format, word_parse
-from .census import (
-    bound_checks,
-    census_sweep,
-    census_to_csv,
-    census_to_json,
-    property_report_to_json,
-    property_suite,
-)
+from .algebra import Word, all_words, word_format, word_parse
+from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_suite
 from .engine import MAX_DEGREE, PRESET_NAMES, engine_coefficient, preset, series_terms
 from .forms import check_forms
 from .lie import dynkin_series, expand_comm_poly, format_comm_poly
 from .oracle import MAX_DP_LENGTH, goldberg_direct
 
-VERIFY_SUITES = ("properties", "bounds", "dynkin", "oracle", "commutator-forms")
+# one row of a verify suite: (passed, text lines, JSON record)
+Row = tuple[bool, list[str], dict[str, Any]]
 
 _variant_option = click.option(
     "--variant",
@@ -162,6 +157,100 @@ def census(max_n: int, variant: str, fmt: str) -> None:
             click.echo(f"{r.n:>3} {r.count:>8} {r.bound:>8} {r.ratio}")
 
 
+_STATUS = {True: "PASS", False: "FAIL"}
+
+
+def _word_or_none(w: Word | None) -> str | None:
+    return None if w is None else word_format(w)
+
+
+def _witness_text(w: Word | None) -> str:
+    return "" if w is None else f" witness={word_format(w)}"
+
+
+def _property_rows(max_n: int) -> Iterator[Row]:
+    for n in range(2, max_n + 1):
+        report = property_suite(n)
+        checks = report.checks.items()
+        lines = [f"{_STATUS[r.passed]} n={n} {name}{_witness_text(r.witness)}" for name, r in checks]
+        record = {
+            "n": n,
+            "checks": {
+                name: {"pass": r.passed, "witness": _word_or_none(r.witness)} for name, r in checks
+            },
+        }
+        yield report.ok, lines, record
+
+
+def _bound_rows(max_n: int) -> Iterator[Row]:
+    for row in bound_checks(max_n).rows:
+        notes = []
+        if row.prime:
+            notes.append(f"prime, saturated={row.prime_saturated}")
+        if row.even_bound is not None:
+            notes.append(
+                f"even bound {row.even_bound}, holds={row.even_bound_holds},"
+                f" saturated={row.even_saturated} (expected {row.even_saturation_expected})"
+            )
+        text = "; ".join(notes)
+        line = f"{_STATUS[row.ok]} n={row.n} count={row.count} {text}"
+        yield row.ok, [line], {"n": row.n, "count": row.count, "pass": row.ok, "notes": text}
+
+
+def _dynkin_rows(max_n: int) -> Iterator[Row]:
+    series = series_terms(preset("standard"), max_n)
+    for n in range(1, max_n + 1):
+        ok = expand_comm_poly(dynkin_series(n)) == series[n - 1].body
+        yield ok, [f"{_STATUS[ok]} n={n} nested-commutator identity"], {"n": n, "pass": ok}
+
+
+def _oracle_rows(max_n: int) -> Iterator[Row]:
+    for n in range(1, max_n + 1):
+        bad = next((w for w in all_words(n) if engine_coefficient(w) != goldberg_direct(w)), None)
+        line = f"{_STATUS[bad is None]} n={n} engine vs direct sum{_witness_text(bad)}"
+        yield bad is None, [line], {"n": n, "pass": bad is None, "witness": _word_or_none(bad)}
+
+
+def _commutator_form_rows(max_n: int) -> Iterator[Row]:
+    for verdict in check_forms(max_degree=max_n):
+        form = verdict.form
+        is_lie = all(verdict.engine_content_is_lie.values())
+        line = f"{_STATUS[verdict.ok]} {form.label}: claim {form.claim}"
+        if verdict.matches:
+            lines = [line + " matches the engine term"]
+        else:
+            line += " does NOT match the engine term"
+            if not form.strict:
+                line += f" (report-only: engine form is {'a' if is_lie else 'NOT a'} Lie element)"
+            lines = [
+                line,
+                f"  diff (claim minus engine): {verdict.diff}",
+                f"  engine term: {verdict.engine_body}",
+                f"  claim expands to: {format_comm_poly(verdict.claim_poly)}"
+                f" -> {expand_comm_poly(verdict.claim_poly)}",
+            ]
+        record = {
+            "label": form.label,
+            "strict": form.strict,
+            "claim": form.claim,
+            "matches": verdict.matches,
+            "pass": verdict.ok,
+            "diff": None if verdict.matches else str(verdict.diff),
+            "engine_form_is_lie": is_lie,
+        }
+        yield verdict.ok, lines, record
+
+
+VERIFY_TABLE: dict[str, Callable[[int], Iterator[Row]]] = {
+    "properties": _property_rows,
+    "bounds": _bound_rows,
+    "dynkin": _dynkin_rows,
+    "oracle": _oracle_rows,
+    "commutator-forms": _commutator_form_rows,
+}
+VERIFY_SUITES = tuple(VERIFY_TABLE)
+
+
 @main.command()
 @click.argument("suite", type=click.Choice(VERIFY_SUITES))
 @_max_option
@@ -176,121 +265,18 @@ def census(max_n: int, variant: str, fmt: str) -> None:
 def verify(suite: str, max_n: int, fmt: str) -> None:
     """Run a verification suite up to degree max; exit 1 on any failure."""
     failures = 0
-    if suite == "properties":
-        reports = [property_suite(n) for n in range(2, max_n + 1)]
-        if fmt == "json":
-            for report in reports:
-                click.echo(property_report_to_json(report), nl=False)
+    records = []
+    for ok, lines, record in VERIFY_TABLE[suite](max_n):
+        failures += not ok
+        if fmt == "text":
+            click.echo("\n".join(lines))
+        elif suite == "properties":
+            # documented shape: one JSON document per degree, not a rows envelope
+            click.echo(json.dumps(record, indent=2))
         else:
-            for report in reports:
-                for name, result in report.checks.items():
-                    status = "PASS" if result.passed else "FAIL"
-                    witness = (
-                        "" if result.witness is None else f" witness={word_format(result.witness)}"
-                    )
-                    click.echo(f"{status} n={report.n} {name}{witness}")
-        failures = sum(0 if report.ok else 1 for report in reports)
-    elif suite == "bounds":
-        report = bound_checks(max_n)
-        rows_payload = []
-        for row in report.rows:
-            status = "PASS" if row.ok else "FAIL"
-            notes = []
-            if row.prime:
-                notes.append(f"prime, saturated={row.prime_saturated}")
-            if row.even_bound is not None:
-                notes.append(
-                    f"even bound {row.even_bound}, holds={row.even_bound_holds},"
-                    f" saturated={row.even_saturated} (expected {row.even_saturation_expected})"
-                )
-            if fmt == "json":
-                rows_payload.append(
-                    {
-                        "n": row.n,
-                        "count": row.count,
-                        "pass": row.ok,
-                        "notes": "; ".join(notes),
-                    }
-                )
-            else:
-                click.echo(f"{status} n={row.n} count={row.count} {'; '.join(notes)}")
-            failures += 0 if row.ok else 1
-        if fmt == "json":
-            click.echo(json.dumps({"suite": "bounds", "rows": rows_payload}, indent=2))
-    elif suite == "dynkin":
-        series = series_terms(preset("standard"), max_n)
-        rows_payload = []
-        for n in range(1, max_n + 1):
-            ok = expand_comm_poly(dynkin_series(n)) == series[n - 1].body
-            failures += 0 if ok else 1
-            if fmt == "json":
-                rows_payload.append({"n": n, "pass": ok})
-            else:
-                click.echo(f"{'PASS' if ok else 'FAIL'} n={n} nested-commutator identity")
-        if fmt == "json":
-            click.echo(json.dumps({"suite": "dynkin", "rows": rows_payload}, indent=2))
-    elif suite == "oracle":
-        from .algebra import all_words
-
-        rows_payload = []
-        for n in range(1, max_n + 1):
-            bad = None
-            for w in all_words(n):
-                if engine_coefficient(w) != goldberg_direct(w):
-                    bad = w
-                    break
-            ok = bad is None
-            failures += 0 if ok else 1
-            if fmt == "json":
-                rows_payload.append(
-                    {"n": n, "pass": ok, "witness": word_format(bad) if bad else None}
-                )
-            else:
-                witness = "" if bad is None else f" witness={word_format(bad)}"
-                click.echo(f"{'PASS' if ok else 'FAIL'} n={n} engine vs direct sum{witness}")
-        if fmt == "json":
-            click.echo(json.dumps({"suite": "oracle", "rows": rows_payload}, indent=2))
-    else:  # commutator-forms
-        verdicts = check_forms(max_degree=max_n)
-        rows_payload = []
-        for verdict in verdicts:
-            form = verdict.form
-            failures += 0 if verdict.ok else 1
-            if fmt == "json":
-                rows_payload.append(
-                    {
-                        "label": form.label,
-                        "strict": form.strict,
-                        "claim": form.claim,
-                        "matches": verdict.matches,
-                        "pass": verdict.ok,
-                        "diff": str(verdict.diff) if not verdict.matches else None,
-                        "engine_form_is_lie": all(
-                            verdict.engine_content_is_lie.values()
-                        ),
-                    }
-                )
-            else:
-                status = "PASS" if verdict.ok else "FAIL"
-                line = f"{status} {form.label}: claim {form.claim}"
-                if verdict.matches:
-                    line += " matches the engine term"
-                else:
-                    line += (
-                        f" does NOT match the engine term"
-                        f" (report-only: engine form is "
-                        f"{'a Lie element' if all(verdict.engine_content_is_lie.values()) else 'NOT a Lie element'})"
-                        if not form.strict
-                        else " does NOT match the engine term"
-                    )
-                click.echo(line)
-                if not verdict.matches:
-                    click.echo(f"  diff (claim minus engine): {verdict.diff}")
-                    click.echo(f"  engine term: {verdict.engine_body}")
-                    click.echo(f"  claim expands to: {format_comm_poly(verdict.claim_poly)}"
-                               f" -> {expand_comm_poly(verdict.claim_poly)}")
-        if fmt == "json":
-            click.echo(json.dumps({"suite": "commutator-forms", "rows": rows_payload}, indent=2))
+            records.append(record)
+    if fmt == "json" and suite != "properties":
+        click.echo(json.dumps({"suite": suite, "rows": records}, indent=2))
     if failures:
         sys.exit(1)
 

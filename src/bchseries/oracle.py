@@ -26,7 +26,7 @@ from itertools import product
 from math import comb, factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import Letter, Word, X, Y
+from .algebra import RunWord, Word, X, Y
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,7 +86,7 @@ def block_normal_form(w: Word) -> tuple[Block, ...]:
     """
     blocks: list[Block] = []
     pending_x: int | None = None
-    for letter, mult in _runs(w):
+    for letter, mult in RunWord.from_word(w).runs:
         if letter == X:
             if pending_x is not None:
                 blocks.append((pending_x, 0))
@@ -102,21 +102,6 @@ def block_normal_form(w: Word) -> tuple[Block, ...]:
 def block_count(w: Word) -> int:
     """K, the number of blocks in the X-first normal form."""
     return len(block_normal_form(w))
-
-
-def _runs(w: Word) -> Iterator[tuple[Letter, int]]:
-    prev: Letter | None = None
-    count = 0
-    for letter in w.letters():
-        if letter == prev:
-            count += 1
-        else:
-            if prev is not None:
-                yield prev, count
-            prev = letter
-            count = 1
-    if prev is not None:
-        yield prev, count
 
 
 def goldberg_value(w: Word) -> GoldbergValue:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from bchseries import (
+    FreePoly,
     all_words,
     bound_checks,
     census,
@@ -21,12 +24,8 @@ from bchseries import (
     series_term,
     word_parse,
 )
-from bchseries.census import (
-    PROPERTY_NAMES,
-    census_to_csv,
-    census_to_json,
-    property_report_to_json,
-)
+from bchseries.census import PROPERTY_NAMES, CheckResult, census_to_csv, census_to_json
+from bchseries.cli import main
 
 w = word_parse
 F = Fraction
@@ -115,6 +114,35 @@ class TestPropertySuite:
         with pytest.raises(ValueError):
             property_suite(1)
 
+    @staticmethod
+    def perturb(monkeypatch, word, delta):
+        """Make property_suite read the standard term with delta added to one coefficient."""
+        body = dict(series_term(preset("standard"), word.length).items())
+        body[word] = body.get(word, F(0)) + delta
+        monkeypatch.setattr(sys.modules["bchseries.census"], "series_term", lambda *_: FreePoly(body))
+
+    def test_exponent_permutation_can_fail(self, monkeypatch):
+        # XY^2X^2 permutes the runs of X^2YX^2 and X^2Y^2X; X^2YX^2 comes
+        # first in all_words order, so it is the witness although its own
+        # coefficient is untouched
+        self.perturb(monkeypatch, w("XY^2X^2"), F(1))
+        result = property_suite(5).checks["exponent_permutation"]
+        assert result == CheckResult(False, w("X^2YX^2"))
+
+    def test_exponent_permutation_ignores_other_letter_orders(self, monkeypatch):
+        # Y^2XY^2 has the run lengths of X^2YX^2 but starts with the other
+        # letter, so the witness is YX^2Y^2, the first Y-led word of its class
+        self.perturb(monkeypatch, w("Y^2XY^2"), F(1))
+        result = property_suite(5).checks["exponent_permutation"]
+        assert result == CheckResult(False, w("YX^2Y^2"))
+
+    def test_fixed_content_sum_failure_names_the_content(self, monkeypatch):
+        word = w("X^3Y^2")
+        self.perturb(monkeypatch, word, -series_term(preset("standard"), 5).coeff(word))
+        report = property_suite(5)
+        assert report.checks["fixed_content_sum"] == CheckResult(False, w("X^3Y^2"))
+        assert not report.ok
+
 
 class TestBoundChecks:
     def test_to_degree_ten(self):
@@ -197,8 +225,15 @@ class TestSerialization:
         ]
 
     def test_property_report_json(self):
-        payload = json.loads(property_report_to_json(property_suite(4)))
-        assert payload["n"] == 4
-        assert set(payload["checks"]) == set(PROPERTY_NAMES)
-        for result in payload["checks"].values():
-            assert result == {"pass": True, "witness": None}
+        result = CliRunner().invoke(main, ["verify", "properties", "--max", "4", "--format", "json"])
+        assert result.exit_code == 0
+        decoder, text, payloads = json.JSONDecoder(), result.stdout, []
+        while text.strip():
+            payload, end = decoder.raw_decode(text)
+            payloads.append(payload)
+            text = text[end:].lstrip()
+        assert [payload["n"] for payload in payloads] == [2, 3, 4]
+        for payload in payloads:
+            assert list(payload["checks"]) == list(PROPERTY_NAMES)
+            for check in payload["checks"].values():
+                assert check == {"pass": True, "witness": None}

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from hashlib import sha256
 
+import pytest
 from click.testing import CliRunner
 
-from bchseries.cli import main
-from bchseries.engine import MAX_DEGREE
+from bchseries import engine
+from bchseries.algebra import FreePoly
+from bchseries.cli import VERIFY_SUITES, main
+from bchseries.engine import MAX_DEGREE, SeriesTerm, preset
 from bchseries.oracle import MAX_DP_LENGTH, goldberg_xy
 
 
@@ -205,3 +209,70 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self):
         result = run("verify", "everything", "--max", "4")
         assert result.exit_code == 2
+
+
+@pytest.fixture
+def drop_degree_five_word(monkeypatch):
+    """Serve the standard series with its first degree-5 word missing.
+
+    The corrupted terms come from the uncached function, so none of them
+    stays in the series cache after the test.
+    """
+    cached = engine._cached_series
+    standard = tuple(preset("standard").factors)
+
+    def corrupted(factors, degree):
+        if factors != standard or degree < 5:
+            return cached(factors, degree)
+        terms = cached.__wrapped__(factors, degree)
+        body = dict(terms[4].body.sorted_items()[1:])
+        return terms[:4] + (SeriesTerm(5, FreePoly(body)),) + terms[5:]
+
+    monkeypatch.setattr(engine, "_cached_series", corrupted)
+
+
+# (suite, format) -> (exit code, sha256 of stdout) of `verify <suite> --max 6`
+PASS_BYTES = {
+    ("properties", "text"): (0, "5b2d3780a0d0ab916eb0a45643774ac666db56711efbd5763e09a89f9b4f5140"),
+    ("properties", "json"): (0, "ce2b8b88ed8ba6dc123b2a9bd830a55cdafa3e822ff42fc3708100d1d1679dee"),
+    ("bounds", "text"): (0, "c3bffcc5c402c5bea0040e8343c3a21981ac9f7af573a45e6be150a542888abc"),
+    ("bounds", "json"): (0, "29333dbc97029017c433a696506637e6eecd6793668656f5de0e7238e82558b8"),
+    ("dynkin", "text"): (0, "4ecb55103d92fa6d33eaa114392baa9e124a07fdf2125563528113d8bbd2e4f4"),
+    ("dynkin", "json"): (0, "bc3640b152206160a9e0a9418a8ae4947ec8e51f4f334ae94ee260d8d99adf56"),
+    ("oracle", "text"): (0, "17425184a4b250d29a2cbba9af8fa442e811bd92d3d7759eb132b6bbb84e7b80"),
+    ("oracle", "json"): (0, "a2b7ac388d74badb4e738d01ecf0ccd02333da148d70f8b69ba47a6676b8575c"),
+    ("commutator-forms", "text"): (0, "811aa4b72827855cdf43e76540e92f56eccc9671dcb81963a27a680ac0178969"),
+    ("commutator-forms", "json"): (0, "dfd350167aabd650b5197803475566d056b40dc9a26490d44b30b24376583c22"),
+}
+# the same with the first degree-5 word of the standard series dropped
+FAIL_BYTES = {
+    ("properties", "text"): (1, "a93b144d35b52ee3650d6b81a8696e772c432e004ad89d7c0c94efea984b692b"),
+    ("properties", "json"): (1, "205a3f9abdbe23281086241d3d0fc1c08d38a061bcc5124379bca455974bb01e"),
+    ("bounds", "text"): (1, "a5d1b1dfb4c227b0e557166985c055e746690422689fdcc3ef1187bd6c0599e7"),
+    ("bounds", "json"): (1, "3e650d4d017bcebbc13a78bbaf9ad5815632475bc3588f1a4eda4ed21cd3d78a"),
+    ("dynkin", "text"): (1, "e55950f776384d959ff67dbe8f2ba4521598bf66e216dffde3bdb6cfb8f77f49"),
+    ("dynkin", "json"): (1, "fa1564f6cb48d1316cd86cca9d284916fa3b8e670616421b69dd7959f1df2479"),
+    ("oracle", "text"): (1, "6c097a9c378cf259eacf66e48142a3548c7bc66230ab63d320c1bcfa6a79a8c5"),
+    ("oracle", "json"): (1, "52faa6491ba3b0857561abdbc4fbc8015a35e0f0d85baa790c90fbb7d2b3bf4c"),
+    ("commutator-forms", "text"): (1, "f8c01c6c86361b9c1ef0d32baf5a7169b0652b82280d4f2113f8780665849057"),
+    ("commutator-forms", "json"): (1, "d426bec43d82dc749c6000e46d38cf6d1ceeb544db4f3673a76f079eea6bcebe"),
+}
+
+
+def verify_bytes(suite: str, fmt: str) -> tuple[int, str]:
+    result = CliRunner().invoke(main, ["verify", suite, "--max", "6", "--format", fmt])
+    return result.exit_code, sha256(result.stdout_bytes).hexdigest()
+
+
+class TestVerifyBytes:
+    def test_every_suite_is_pinned(self):
+        assert {suite for suite, _ in PASS_BYTES} == set(VERIFY_SUITES)
+        assert set(FAIL_BYTES) == set(PASS_BYTES)
+
+    @pytest.mark.parametrize("suite, fmt", sorted(PASS_BYTES))
+    def test_pass_path(self, suite, fmt):
+        assert verify_bytes(suite, fmt) == PASS_BYTES[suite, fmt]
+
+    @pytest.mark.parametrize("suite, fmt", sorted(FAIL_BYTES))
+    def test_fail_path(self, suite, fmt, drop_degree_five_word):
+        assert verify_bytes(suite, fmt) == FAIL_BYTES[suite, fmt]
