@@ -21,7 +21,7 @@ def main() -> int:
         if not verdict.matches:
             lie = all(verdict.engine_content_is_lie.values())
             print(f"    engine term:   {verdict.engine_body}")
-            print(f"    claim expands: {verdict.claim_poly.expand()}")
+            print(f"    claim expands: {verdict.claim_body}")
             print(f"    difference:    {verdict.diff}")
             print(f"    engine term is a Lie element: {lie}")
         if not verdict.ok:

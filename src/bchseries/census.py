@@ -25,7 +25,6 @@ from .algebra import (
     X,
     Y,
     all_words,
-    cyclic_shift,
     interchange,
     reverse,
 )
@@ -128,6 +127,12 @@ def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
     return runs.runs[0][0], tuple(sorted(runs.multiplicities()))
 
 
+def _least_rotation(w: Word) -> int:
+    """The least bits among w's cyclic shifts: one key per rotation class."""
+    doubled, mask = (w.bits << w.length) | w.bits, (1 << w.length) - 1
+    return min((doubled >> i) & mask for i in range(w.length))
+
+
 def property_suite(n: int) -> PropertyReport:
     """Run the eight coefficient-symmetry checks at degree n (n >= 2)."""
     if n < 2:
@@ -166,15 +171,13 @@ def property_suite(n: int) -> PropertyReport:
         class_values.setdefault(_run_class(w), set()).add(coeff(w))
     per_word("exponent_permutation", lambda w: len(class_values[_run_class(w)]) == 1)
 
-    def cyclic_sum_ok(w: Word) -> bool:
-        total = _ZERO
-        current = w
-        for _ in range(n):
-            total += coeff(current)
-            current = cyclic_shift(current)
-        return total == 0
-
-    per_word("cyclic_shift_sum", cyclic_sum_ok)
+    # a word of period p meets its rotation class n/p times among its n shifts,
+    # so the shift sum vanishes exactly when the class sum does
+    rotation_sums: dict[int, Fraction] = {}
+    for w in all_words(n):
+        key = _least_rotation(w)
+        rotation_sums[key] = rotation_sums.get(key, _ZERO) + coeff(w)
+    per_word("cyclic_shift_sum", lambda w: rotation_sums[_least_rotation(w)] == 0)
 
     per_word("interchange_sign", lambda w: coeff(interchange(w)) == sign * coeff(w))
 

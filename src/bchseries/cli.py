@@ -227,7 +227,7 @@ def _commutator_form_rows(max_n: int) -> Iterator[Row]:
                 f"  diff (claim minus engine): {verdict.diff}",
                 f"  engine term: {verdict.engine_body}",
                 f"  claim expands to: {format_comm_poly(verdict.claim_poly)}"
-                f" -> {expand_comm_poly(verdict.claim_poly)}",
+                f" -> {verdict.claim_body}",
             ]
         record = {
             "label": form.label,

@@ -14,13 +14,7 @@ from typing import Iterable
 
 from .algebra import FreePoly
 from .engine import preset, series_term
-from .lie import (
-    CommPoly,
-    comm_parse,
-    commutator_form_diff,
-    lie_content_check,
-    verify_commutator_form,
-)
+from .lie import CommPoly, comm_parse, expand_comm_poly, lie_content_check
 
 
 @dataclass(frozen=True)
@@ -89,11 +83,12 @@ CLAIMED_FORMS: tuple[ClaimedForm, ...] = (
 
 @dataclass(frozen=True)
 class FormVerdict:
-    """Outcome of checking one claimed form against the engine word form."""
+    """Outcome of checking one claimed form (expanded once, as claim_body)."""
 
     form: ClaimedForm
     claim_poly: CommPoly
     engine_body: FreePoly
+    claim_body: FreePoly
     matches: bool
     diff: FreePoly
     engine_content_is_lie: dict[tuple[int, int], bool]
@@ -109,12 +104,14 @@ class FormVerdict:
 def check_form(form: ClaimedForm) -> FormVerdict:
     claim_poly = comm_parse(form.claim)
     body = series_term(preset(form.variant), form.degree)
+    claim_body = expand_comm_poly(claim_poly)
     return FormVerdict(
         form=form,
         claim_poly=claim_poly,
         engine_body=body,
-        matches=verify_commutator_form(claim_poly, body),
-        diff=commutator_form_diff(claim_poly, body),
+        claim_body=claim_body,
+        matches=claim_body == body,
+        diff=claim_body - body,
         engine_content_is_lie=lie_content_check(body),
     )
 

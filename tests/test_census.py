@@ -136,6 +136,17 @@ class TestPropertySuite:
         result = property_suite(5).checks["exponent_permutation"]
         assert result == CheckResult(False, w("YX^2Y^2"))
 
+    def test_cyclic_shift_sum_can_fail(self, monkeypatch):
+        # the witness is the first word of the perturbed rotation class in
+        # all_words order, here X^2Y^3 for a perturbed YX^2Y^2
+        self.perturb(monkeypatch, w("YX^2Y^2"), F(1))
+        result = property_suite(5).checks["cyclic_shift_sum"]
+        assert result == CheckResult(False, w("X^2Y^3"))
+        # XYXY has period 2: its class {XYXY, YXYX} is met twice among its shifts
+        self.perturb(monkeypatch, w("XYXY"), F(1))
+        result = property_suite(4).checks["cyclic_shift_sum"]
+        assert result == CheckResult(False, w("XYXY"))
+
     def test_fixed_content_sum_failure_names_the_content(self, monkeypatch):
         word = w("X^3Y^2")
         self.perturb(monkeypatch, word, -series_term(preset("standard"), 5).coeff(word))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from bchseries import (
     Y,
     all_words,
     comm_parse,
-    commutator_form_diff,
     dynkin_series,
     expand_comm_poly,
     expand_nested,
@@ -22,10 +22,9 @@ from bchseries import (
     preset,
     rewrite_identity_check,
     series_term,
-    verify_commutator_form,
     word_parse,
 )
-from bchseries import lie
+from bchseries import forms, lie
 from bchseries.forms import CLAIMED_FORMS, check_form, check_forms
 from bchseries.lie import expand_slots, format_comm_poly
 
@@ -123,12 +122,29 @@ class TestRewriteIdentity:
         assert lhs != swapped - bracketed
 
     def test_slots_of_letters_match_expand_nested(self):
+        def fold(word):
+            return expand_slots([FreePoly.from_letter(letter) for letter in word.letters()])
+
         for n in range(1, 6):
             for word in all_words(n):
-                slots = [FreePoly.from_letter(letter) for letter in word.letters()]
-                assert expand_slots(slots) == expand_nested(word)
+                assert fold(word) == expand_nested(word)
         with pytest.raises(ValueError):
             expand_slots([])
+        # the linear map against the term-by-term fold on mixed-length sums
+        rng = random.Random(5)
+        words = [word for n in range(1, 7) for word in all_words(n)]
+        for _ in range(40):
+            p = CommPoly(
+                (word, F(rng.randint(-9, 9), rng.randint(1, 6)))
+                for word in rng.sample(words, rng.randint(1, 30))
+            )
+            folded = FreePoly.zero()
+            for word, coeff in p.sorted_items():
+                folded = folded + fold(word).scale(coeff)
+            assert expand_comm_poly(p) == folded
+        # [XYXY] = [YX^2Y] and [X^2] = 0: whole terms cancel in the sum
+        cancelling = CommPoly({w("XYXY"): F(2, 3), w("YX^2Y"): F(-2, 3), w("X^2"): 5})
+        assert expand_comm_poly(cancelling).is_zero()
 
     def test_yxxy_equals_xyxy(self):
         # consequence of the rewrite identity with the inner bracket degenerate
@@ -166,38 +182,67 @@ class TestDynkinSeries:
         with pytest.raises(ValueError):
             dynkin_series(0)
 
-    def test_matches_series_to_degree_six(self):
-        for n in range(1, 7):
+    def test_matches_series_to_degree_ten(self):
+        for n in range(1, 11):
             assert expand_comm_poly(dynkin_series(n)) == series_term(
                 preset("standard"), n
             )
 
 
 class TestVerifyCommutatorForm:
+    DEGREE_FIVE = (
+        "-1/720*[X^4Y] + 1/120*[XYXYX] + 1/360*[XY^3X]"
+        " + 1/360*[YX^3Y] + 1/120*[YXYXY] - 1/720*[Y^4X]"
+    )
+    DEGREE_SIX = "-1/720*[X^2Y^2XY] + 1/240*[XYXYXY] - 1/1440*[XY^4X] + 1/1440*[YX^4Y]"
+
+    @staticmethod
+    def verdict(variant, degree, claim, strict=True):
+        return check_form(forms.ClaimedForm("test", variant, degree, claim, strict))
+
     def test_degree_five_catalog_claim(self):
-        claim = comm_parse(
-            "-1/720*[X^4Y] + 1/120*[XYXYX] + 1/360*[XY^3X]"
-            " + 1/360*[YX^3Y] + 1/120*[YXYXY] - 1/720*[Y^4X]"
-        )
-        assert verify_commutator_form(claim, series_term(preset("standard"), 5))
+        claim = comm_parse(self.DEGREE_FIVE)
+        assert expand_comm_poly(claim) == series_term(preset("standard"), 5)
+        verdict = self.verdict("standard", 5, self.DEGREE_FIVE)
+        assert verdict.matches and verdict.ok and verdict.diff.is_zero()
 
     def test_degree_six_catalog_claim(self):
-        claim = comm_parse(
-            "-1/720*[X^2Y^2XY] + 1/240*[XYXYXY] - 1/1440*[XY^4X] + 1/1440*[YX^4Y]"
-        )
-        assert verify_commutator_form(claim, series_term(preset("standard"), 6))
+        claim = comm_parse(self.DEGREE_SIX)
+        assert expand_comm_poly(claim) == series_term(preset("standard"), 6)
+        verdict = self.verdict("standard", 6, self.DEGREE_SIX)
+        assert verdict.matches and verdict.ok and verdict.diff.is_zero()
 
     def test_loop_degree_three_claim(self):
         claim = comm_parse("1/2*[X^2Y] + 1/2*[YXY]")
-        assert verify_commutator_form(claim, series_term(preset("loop"), 3))
+        assert expand_comm_poly(claim) == series_term(preset("loop"), 3)
+        assert self.verdict("loop", 3, "1/2*[X^2Y] + 1/2*[YXY]").matches
 
     def test_failing_claim_reports_diff(self):
         claim = comm_parse("1/9*[Y^2X]")
         body = series_term(preset("sum_difference"), 3)
-        assert not verify_commutator_form(claim, body)
-        diff = commutator_form_diff(claim, body)
-        assert not diff.is_zero()
-        assert diff == expand_comm_poly(claim) - body
+        assert expand_comm_poly(claim) != body
+        verdict = self.verdict("sum_difference", 3, "1/9*[Y^2X]")
+        assert not verdict.matches and not verdict.ok
+        assert not verdict.diff.is_zero()
+        assert verdict.claim_body == expand_comm_poly(claim)
+        assert verdict.diff == expand_comm_poly(claim) - body
+        # report-only, the same mismatch passes on the engine form's Lie content
+        assert self.verdict("sum_difference", 3, "1/9*[Y^2X]", strict=False).ok
+
+    def test_check_form_expands_each_claim_once(self, monkeypatch):
+        expanded = []
+
+        def counting(p):
+            expanded.append(p)
+            return expand_comm_poly(p)
+
+        # the Lie content test expands engine pieces through lie's own binding
+        monkeypatch.setattr(forms, "expand_comm_poly", counting)
+        monkeypatch.setattr(lie, "expand_comm_poly", counting)
+        for form in CLAIMED_FORMS:
+            expanded.clear()
+            verdict = check_form(form)
+            assert expanded.count(verdict.claim_poly) == 1, form.label
 
 
 class TestLieElement:
@@ -250,6 +295,12 @@ class TestCommParse:
         for text in ("1/2", "[XZ]", "[XY] [YX]", "* [XY]"):
             with pytest.raises(ValueError):
                 comm_parse(text)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator .* at position 2"):
+            comm_parse("1/0*[X]")
+        with pytest.raises(ValueError, match="at position 9"):
+            comm_parse("[XY] + 3/00 [Y]")
 
     def test_round_trip(self):
         p = comm_parse("-1/24*[XYXY] + 1/12*[X^2Y]")
