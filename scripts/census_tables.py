@@ -2,8 +2,9 @@
 """Reproduce the census tables: non-zero coefficient counts per degree.
 
 Prints the standard-product census and the symmetric-product census as CSV.
-Degree 13 takes a few seconds; degrees 14+ grow quickly (2^n words), pass
---max at your own risk.
+--max takes 2..MAX_DEGREE (20), and --variants takes preset names; anything
+else is a usage error (exit 2).  Time and memory double with each degree: the
+degree-19 census alone took about 10 s and 300 MB on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -12,17 +13,27 @@ import argparse
 import sys
 import time
 
-from bchseries import census_sweep, census_to_csv, preset
+from bchseries import PRESET_NAMES, census_sweep, census_to_csv, preset
+from bchseries.engine import MAX_DEGREE
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=int, default=13, help="largest degree (default 13)")
+    parser.add_argument(
+        "--max",
+        type=int,
+        choices=range(2, MAX_DEGREE + 1),
+        metavar="N",
+        default=13,
+        help=f"largest degree, 2..{MAX_DEGREE} (default 13)",
+    )
     parser.add_argument(
         "--variants",
         nargs="+",
+        choices=PRESET_NAMES,
+        metavar="NAME",
         default=["standard", "symmetric"],
-        help="preset names to tabulate",
+        help=f"preset names to tabulate: {', '.join(PRESET_NAMES)}",
     )
     args = parser.parse_args(argv)
 

@@ -5,13 +5,26 @@ from __future__ import annotations
 
 import argparse
 
-from bchseries import letter_occurrence_profile, preset
+from bchseries import PRESET_NAMES, letter_occurrence_profile, preset
+from bchseries.engine import MAX_DEGREE
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("degree", type=int, help="series degree to profile")
-    parser.add_argument("--variant", default="standard", help="preset name")
+    parser.add_argument(
+        "degree",
+        type=int,
+        choices=range(1, MAX_DEGREE + 1),
+        metavar="degree",
+        help=f"series degree to profile, 1..{MAX_DEGREE}",
+    )
+    parser.add_argument(
+        "--variant",
+        choices=PRESET_NAMES,
+        metavar="NAME",
+        default="standard",
+        help=f"preset name: {', '.join(PRESET_NAMES)}",
+    )
     args = parser.parse_args(argv)
 
     profile = letter_occurrence_profile(args.degree, preset(args.variant))

@@ -30,6 +30,7 @@ class Letter(IntEnum):
 
 X = Letter.X
 Y = Letter.Y
+_LETTERS = (X, Y)
 
 
 class WordParseError(ValueError):
@@ -72,11 +73,24 @@ class Word(NamedTuple):
     def letter(self, i: int) -> Letter:
         if not 0 <= i < self.length:
             raise IndexError(f"letter index {i} out of range for length {self.length}")
-        return Letter((self.bits >> (self.length - 1 - i)) & 1)
+        return _LETTERS[(self.bits >> (self.length - 1 - i)) & 1]
 
     def letters(self) -> Iterator[Letter]:
         for i in range(self.length - 1, -1, -1):
-            yield Letter((self.bits >> i) & 1)
+            yield _LETTERS[(self.bits >> i) & 1]
+
+    def runs(self) -> tuple[tuple[Letter, int], ...]:
+        """The maximal runs (letter, multiplicity), in order, one bit_length per run."""
+        runs = []
+        bits, n = self.bits, self.length
+        while n:
+            top = bits >> (n - 1)
+            # flipping a Y-led rest turns its run into leading zeros
+            rest = (bits ^ ((1 << n) - 1) if top else bits).bit_length()
+            runs.append((_LETTERS[top], n - rest))
+            bits &= (1 << rest) - 1
+            n = rest
+        return tuple(runs)
 
     @property
     def count_y(self) -> int:
@@ -94,41 +108,6 @@ class Word(NamedTuple):
 
 
 EMPTY_WORD = Word(0, 0)
-
-
-class RunWord(NamedTuple):
-    """Run-length form of a word: maximal runs (letter, multiplicity)."""
-
-    runs: tuple[tuple[Letter, int], ...]
-
-    @classmethod
-    def from_word(cls, w: Word) -> "RunWord":
-        runs: list[tuple[Letter, int]] = []
-        for letter in w.letters():
-            if runs and runs[-1][0] == letter:
-                runs[-1] = (letter, runs[-1][1] + 1)
-            else:
-                runs.append((letter, 1))
-        return cls(tuple(runs))
-
-    @classmethod
-    def from_runs(cls, runs: Iterable[tuple[Letter, int]]) -> "RunWord":
-        runs = tuple((Letter(letter), mult) for letter, mult in runs)
-        if any(a[0] == b[0] for a, b in zip(runs, runs[1:])):
-            raise ValueError("adjacent runs must use distinct letters")
-        if any(mult < 1 for _, mult in runs):
-            raise ValueError("run multiplicities must be >= 1")
-        return cls(runs)
-
-    def to_word(self) -> Word:
-        return Word.from_runs(self.runs)
-
-    @property
-    def run_count(self) -> int:
-        return len(self.runs)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(mult for _, mult in self.runs)
 
 
 _WORD_TOKEN = re.compile(r"([XY])(?:\^(\d+))?")
@@ -164,10 +143,9 @@ def word_parse(text: str, max_length: int | None = None) -> Word:
 
 def word_format(w: Word) -> str:
     """Canonical run-length text of a word; the empty word formats as ''."""
-    parts = []
-    for letter, mult in RunWord.from_word(w).runs:
-        parts.append(letter.name if mult == 1 else f"{letter.name}^{mult}")
-    return "".join(parts)
+    return "".join(
+        letter.name if mult == 1 else f"{letter.name}^{mult}" for letter, mult in w.runs()
+    )
 
 
 def interchange(w: Word) -> Word:

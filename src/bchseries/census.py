@@ -2,11 +2,12 @@
 
 The census counts, per degree, the words carrying a non-zero coefficient in a
 variant's series, and compares against the 2^n - 2 ceiling, the prime-length
-saturation rule, and the even-length bound 2^(2n-1) - 4.  The property suite
+saturation rule, and the even-length bound 2^(n-1) - 4.  The property suite
 checks the coefficient symmetries (fixed-length and fixed-content zero sums,
 run-exponent permutation invariance, cyclic-shift zero sums, interchange and
 reversal sign rules, palindrome-concatenation zeros, and the vanishing rule
-for even-length words with an odd number of runs).
+for even-length words with an odd number of runs).  Run classes and run
+counts are read from the word bits through Word.runs().
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable
 
 from .algebra import (
     Letter,
-    RunWord,
     Word,
     X,
     Y,
@@ -123,8 +123,8 @@ PROPERTY_NAMES: tuple[str, ...] = (
 
 def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
     """The first letter and sorted run multiplicities: the words that permute w's runs."""
-    runs = RunWord.from_word(w)
-    return runs.runs[0][0], tuple(sorted(runs.multiplicities()))
+    runs = w.runs()
+    return runs[0][0], tuple(sorted(mult for _, mult in runs))
 
 
 def _least_rotation(w: Word) -> int:
@@ -197,7 +197,7 @@ def property_suite(n: int) -> PropertyReport:
         checks["palindrome_concatenation"] = CheckResult(witness is None, witness)
 
         def odd_runs_ok(w: Word) -> bool:
-            if RunWord.from_word(w).run_count % 2 == 0:
+            if len(w.runs()) % 2 == 0:
                 return True
             return coeff(w) == 0
 
@@ -254,14 +254,14 @@ class BoundReport:
         return all(row.ok for row in self.rows)
 
 
-def bound_checks(max_n: int, variant: VariantPreset | None = None) -> BoundReport:
+def bound_checks(max_n: int) -> BoundReport:
     """Check prime saturation and the even-length bound for n = 2..max_n.
 
-    At prime n the count must equal 2^n - 2.  At even n >= 4 the count must
-    be <= 2^(n-1) - 4, with equality exactly when n - 1 is prime.
+    The rules are stated for the standard series.  At prime n the count must
+    equal 2^n - 2.  At even n >= 4 the count must be <= 2^(n-1) - 4, with
+    equality exactly when n - 1 is prime.
     """
-    variant = variant if variant is not None else PRESETS["standard"]
-    records = census_sweep(max_n, variant)
+    records = census_sweep(max_n, PRESETS["standard"])
     rows = []
     for record in records:
         n = record.n
@@ -337,7 +337,7 @@ def letter_occurrence_profile(n: int, variant: VariantPreset | None = None) -> O
                 x_positions[i] += 1
             else:
                 y_positions[i] += 1
-        for letter, mult in RunWord.from_word(w).runs:
+        for letter, mult in w.runs():
             hist = x_hist if letter == X else y_hist
             hist[mult] = hist.get(mult, 0) + 1
     return OccurrenceProfile(

@@ -7,14 +7,13 @@ sums because every strictly upper-triangular matrix of order N+1 is nilpotent
 of index <= N+1.  Entries are genuinely noncommutative FreePoly values, so no
 positional decoration of the generators is needed.  UTMatrix, nilpotent_exp,
 nilpotent_log, factor_matrix and product_matrix implement this route as
-written; series_terms(..., full_matrix=True) runs it, and it is the spec
-route the default path is tested against.
+written; it is the spec route that series_terms is tested against.
 
 Every matrix in that pipeline is upper-triangular Toeplitz: entry (i, j)
 depends only on j - i and is homogeneous of word degree j - i.  Such a matrix
 is fixed by its first row, a graded series truncated at degree N, and the
-matrix product is the series product.  So the default path of series_terms
-works on first rows only, as exact integer word vectors:
+matrix product is the series product.  So series_terms works on first rows
+only, as exact integer word vectors:
 
 - the degree-d part is a list of 2^d ints indexed by Word.bits and scaled by
   d! * L^d, where L is the lcm of the factor denominators; the logarithm also
@@ -111,7 +110,7 @@ PRESETS: dict[str, VariantPreset] = {
 PRESET_NAMES: tuple[str, ...] = tuple(PRESETS)
 
 # The largest degree, or word length, that the command-line interface sends
-# to series_terms.  The default path's memory doubles per degree.
+# to series_terms.  Its memory doubles per degree.
 MAX_DEGREE = 20
 
 
@@ -379,21 +378,14 @@ def _cached_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     return tuple(terms)
 
 
-def series_terms(
-    variant: VariantPreset, degree: int, *, full_matrix: bool = False
-) -> tuple[SeriesTerm, ...]:
+def series_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
     """The homogeneous terms of degrees 1..N of the variant's series.
 
-    The default path computes the first row as a graded series of integer
-    word vectors and caches the result per (factors, degree); with
-    full_matrix=True the full matrix logarithm (the spec route) is formed
-    instead.  Both paths produce identical terms.
+    The first row is computed as a graded series of integer word vectors, and
+    the result is cached per (factors, degree).
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if full_matrix:
-        z = nilpotent_log(product_matrix(variant.factors, degree))
-        return tuple(SeriesTerm(n, z.entry(0, n)) for n in range(1, degree + 1))
     return _cached_series(tuple(variant.factors), degree)
 
 

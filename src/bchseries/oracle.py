@@ -7,7 +7,8 @@ For a word w of length n the coefficient is
            whose literal expansion X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} equals w
            of 1/(r_1! s_1! ... r_k! s_k!),
 
-where K is the number of blocks in w's own X-first block normal form.  Two
+where K is the number of blocks in w's own X-first block normal form, which
+block_normal_form reads off the word's maximal runs (Word.runs()).  Two
 independent enumeration routes are provided: a dynamic program over letter
 positions (the workhorse) and a brute-force filter over all block sequences
 (feasible for short words, used to validate the dynamic program).
@@ -26,7 +27,7 @@ from itertools import product
 from math import comb, factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import RunWord, Word, X, Y
+from .algebra import Word, X, Y
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,7 +87,7 @@ def block_normal_form(w: Word) -> tuple[Block, ...]:
     """
     blocks: list[Block] = []
     pending_x: int | None = None
-    for letter, mult in RunWord.from_word(w).runs:
+    for letter, mult in w.runs():
         if letter == X:
             if pending_x is not None:
                 blocks.append((pending_x, 0))

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from bchseries import FreePoly, UTMatrix, Word
+from bchseries import FreePoly, SeriesTerm, UTMatrix, VariantPreset, Word, nilpotent_log
+from bchseries.engine import product_matrix
+
+
+def spec_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
+    """The spec route: row 0 of the full matrix log(prod_i exp(a_i X + b_i Y))."""
+    z = nilpotent_log(product_matrix(variant.factors, degree))
+    return tuple(SeriesTerm(n, z.entry(0, n)) for n in range(1, degree + 1))
 
 
 def small_fractions(max_num: int = 4, max_den: int = 4) -> st.SearchStrategy[Fraction]:

@@ -32,7 +32,7 @@ from bchseries import (
 from bchseries.engine import factor_matrix
 from bchseries.forms import CLAIMED_FORMS, check_forms
 from bchseries.lie import dynkin_series, expand_comm_poly
-from conftest import strictly_upper_matrices
+from conftest import spec_terms, strictly_upper_matrices
 from test_engine import STANDARD_1, STANDARD_2, STANDARD_3, STANDARD_4
 
 w = word_parse
@@ -54,7 +54,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_c01_low_order_terms_exact():
     start = time.monotonic()
-    terms = series_terms(preset("standard"), 4, full_matrix=True)
+    terms = spec_terms(preset("standard"), 4)
     ok = (
         terms[0].body == STANDARD_1
         and terms[1].body == STANDARD_2

@@ -13,7 +13,6 @@ from bchseries import (
     EMPTY_WORD,
     FreePoly,
     Letter,
-    RunWord,
     Word,
     WordParseError,
     X,
@@ -113,30 +112,44 @@ class TestWordOps:
         assert texts == ["X^3", "X^2Y", "XYX", "XY^2", "YX^2", "YXY", "Y^2X", "Y^3"]
 
 
-class TestRunWord:
+def _letter_runs(word: Word) -> tuple[tuple[Letter, int], ...]:
+    """The run split, letter by letter: the reference for Word.runs()."""
+    runs: list[tuple[Letter, int]] = []
+    for letter in word.letters():
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + 1)
+        else:
+            runs.append((letter, 1))
+    return tuple(runs)
+
+
+class TestRuns:
+    def test_matches_letter_by_letter_split(self):
+        for n in range(13):
+            for word in all_words(n):
+                assert word.runs() == _letter_runs(word)
+
     def test_round_trip_exhaustive(self):
         for n in range(13):
             for word in all_words(n):
-                assert RunWord.from_word(word).to_word() == word
+                assert Word.from_runs(word.runs()) == word
 
     def test_runs_structure(self):
-        runs = RunWord.from_word(w("X^2Y^3X"))
-        assert runs.runs == ((X, 2), (Y, 3), (X, 1))
-        assert runs.run_count == 3
-        assert runs.multiplicities() == (2, 3, 1)
+        assert w("X^2Y^3X").runs() == ((X, 2), (Y, 3), (X, 1))
+        assert EMPTY_WORD.runs() == ()
 
     def test_adjacent_runs_distinct(self):
-        for word in all_words(8):
-            runs = RunWord.from_word(word).runs
-            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
-            assert all(m >= 1 for _, m in runs)
-            assert sum(m for _, m in runs) == word.length
+        for n in range(13):
+            for word in all_words(n):
+                runs = word.runs()
+                assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+                assert all(m >= 1 for _, m in runs)
+                assert sum(m for _, m in runs) == word.length
 
-    def test_invalid_runs_rejected(self):
+    def test_from_runs(self):
         with pytest.raises(ValueError):
-            RunWord.from_runs([(X, 2), (X, 1)])
-        with pytest.raises(ValueError):
-            RunWord.from_runs([(X, 0)])
+            Word.from_runs([(X, 0)])
+        assert Word.from_runs([(X, 2), (X, 1)]) == w("X^3")
 
 
 @given(

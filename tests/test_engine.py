@@ -33,7 +33,7 @@ from bchseries.engine import (
     factor_matrix,
     product_matrix,
 )
-from conftest import small_fractions, strictly_upper_matrices
+from conftest import small_fractions, spec_terms, strictly_upper_matrices
 
 w = word_parse
 F = Fraction
@@ -449,9 +449,7 @@ class TestSeriesInvariants:
 
     def test_full_matrix_path_matches_row_path(self):
         for name in PRESET_NAMES:
-            assert series_terms(preset(name), 6, full_matrix=True) == series_terms(
-                preset(name), 6
-            )
+            assert spec_terms(preset(name), 6) == series_terms(preset(name), 6)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -465,7 +463,7 @@ class TestSeriesInvariants:
     def test_default_path_matches_full_matrix_on_random_factors(self, factors, degree):
         # the presets only use denominators 1 and 2; this exercises the L and M scaling
         variant = VariantPreset("random", tuple(exp_factor(a, b) for a, b in factors))
-        assert series_terms(variant, degree) == series_terms(variant, degree, full_matrix=True)
+        assert series_terms(variant, degree) == spec_terms(variant, degree)
 
     def test_default_path_does_not_form_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -481,8 +479,8 @@ class TestSeriesInvariants:
                 assert all(word.length == term.degree for word in term.body.words())
 
     def test_repeat_runs_are_identical(self):
-        a = series_terms(preset("standard"), 5, full_matrix=True)
-        b = series_terms(preset("standard"), 5, full_matrix=True)
+        a = spec_terms(preset("standard"), 5)
+        b = spec_terms(preset("standard"), 5)
         assert a == b
 
 
