@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from math import lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -41,11 +42,24 @@ class WordParseError(ValueError):
         self.position = position
 
 
-class Word(NamedTuple):
-    """An immutable word over {X, Y}, packed as (length, bits)."""
-
+class _WordFields(NamedTuple):
     length: int
     bits: int
+
+
+class Word(_WordFields):
+    """An immutable word over {X, Y}, packed as (length, bits) with 0 <= bits < 2^length.
+
+    typing.NamedTuple forbids overriding __new__, so the check lives in this
+    subclass of the tuple base.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, bits: int) -> "Word":
+        if length < 0 or bits < 0 or bits >> length:
+            raise ValueError(f"a word of length {length} needs 0 <= bits < 2^{length}, got {bits}")
+        return tuple.__new__(cls, (length, bits))
 
     @classmethod
     def from_letters(cls, letters: Iterable[Letter]) -> "Word":
@@ -209,6 +223,25 @@ class FreePoly:
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
+
+    @classmethod
+    def from_dense(cls, n: int, ints: Sequence[int], den: int) -> "FreePoly":
+        """The degree-n polynomial whose coefficient of Word(n, bits) is ints[bits] / den."""
+        return cls._raw({Word(n, bits): Fraction(c, den) for bits, c in enumerate(ints) if c})
+
+    def to_dense(self, n: int) -> tuple[tuple[int, ...], int]:
+        """(ints, den) such that from_dense(n, ints, den) is this degree-n polynomial.
+
+        den is the lcm of the coefficient denominators; a word of another
+        length raises ValueError.
+        """
+        if any(w.length != n for w in self._terms):
+            raise ValueError(f"to_dense needs a homogeneous polynomial of degree {n}")
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        ints = [0] * (1 << n)
+        for w, c in self._terms.items():
+            ints[w.bits] = c.numerator * (den // c.denominator)
+        return tuple(ints), den
 
     @classmethod
     def zero(cls) -> "FreePoly":

@@ -6,8 +6,10 @@ saturation rule, and the even-length bound 2^(n-1) - 4.  The property suite
 checks the coefficient symmetries (fixed-length and fixed-content zero sums,
 run-exponent permutation invariance, cyclic-shift zero sums, interchange and
 reversal sign rules, palindrome-concatenation zeros, and the vanishing rule
-for even-length words with an odd number of runs).  Run classes and run
-counts are read from the word bits through Word.runs().
+for even-length words with an odd number of runs).  The counts and checks read
+a term's dense ints, indexed by Word.bits over one denominator: interchange
+is an XOR with the all-ones mask, reversal a bit reversal, and content,
+rotation and run classes are keyed by the bits.
 """
 
 from __future__ import annotations
@@ -17,20 +19,10 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Iterable, Iterator
 
-from .algebra import (
-    Letter,
-    Word,
-    X,
-    Y,
-    all_words,
-    interchange,
-    reverse,
-)
+from .algebra import Letter, Word, X
 from .engine import PRESETS, SeriesTerm, VariantPreset, series_term, series_terms
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ class CensusRecord:
 
 
 def _census_record(term: SeriesTerm, variant: VariantPreset) -> CensusRecord:
-    count = len(term.body)
+    count = term.count
     bound = (1 << term.degree) - 2
     ratio = Fraction(count, bound) if bound > 0 else None
     return CensusRecord(term.degree, count, bound, ratio, variant.name)
@@ -127,81 +119,90 @@ def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
     return runs[0][0], tuple(sorted(mult for _, mult in runs))
 
 
-def _least_rotation(w: Word) -> int:
-    """The least bits among w's cyclic shifts: one key per rotation class."""
-    doubled, mask = (w.bits << w.length) | w.bits, (1 << w.length) - 1
-    return min((doubled >> i) & mask for i in range(w.length))
-
-
 def property_suite(n: int) -> PropertyReport:
-    """Run the eight coefficient-symmetry checks at degree n (n >= 2)."""
+    """Run the eight coefficient-symmetry checks at degree n (n >= 2).
+
+    Each witness is the first failing word in all_words order, that is, the
+    least failing bits.
+    """
     if n < 2:
         raise ValueError(f"property suite needs n >= 2, got {n}")
-    body = series_term(PRESETS["standard"], n)
-    coeff = body.coeff
-    sign = Fraction((-1) ** (n + 1))
+    v, _ = series_terms(PRESETS["standard"], n)[-1].to_dense()
+    size, mask = 1 << n, (1 << n) - 1
+    sign = 1 if n % 2 else -1
+    rev = [0] * size
+    for bits in range(1, size):
+        rev[bits] = (rev[bits >> 1] >> 1) | ((bits & 1) << (n - 1))
     checks: dict[str, CheckResult] = {}
 
-    def per_word(name: str, predicate: Callable[[Word], bool]) -> None:
-        witness = None
-        for w in all_words(n):
-            if not predicate(w):
-                witness = w
-                break
-        checks[name] = CheckResult(witness is None, witness)
+    def first_failure(name: str, failing: Iterable[int]) -> None:
+        bits = next(iter(failing), None)
+        checks[name] = CheckResult(bits is None, None if bits is None else Word(n, bits))
 
-    total = sum(c for _, c in body.items())
-    checks["fixed_length_sum"] = CheckResult(
-        total == 0, None if total == 0 else Word(n, 0)
+    first_failure("fixed_length_sum", [0] if sum(v) else [])
+
+    content_sums = [0] * (n + 1)  # by the number of X letters
+    for bits, c in enumerate(v):
+        if c:
+            content_sums[n - bits.bit_count()] += c
+    # the witness X^k Y^(n-k) names the first content k with a non-zero sum
+    first_failure(
+        "fixed_content_sum", ((1 << (n - k)) - 1 for k, total in enumerate(content_sums) if total)
     )
 
-    content_sums: dict[int, Fraction] = {}
-    for w, c in body.items():
-        content_sums[w.count_x] = content_sums.get(w.count_x, _ZERO) + c
-    bad_content = next((nx for nx, s in sorted(content_sums.items()) if s != 0), None)
-    if bad_content is None:
-        checks["fixed_content_sum"] = CheckResult(True, None)
-    else:
-        runs = [(X, bad_content), (Y, n - bad_content)]
-        witness = Word.from_runs([run for run in runs if run[1] > 0])
-        checks["fixed_content_sum"] = CheckResult(False, witness)
+    classes = [_run_class(Word(n, bits)) for bits in range(size)]
+    class_value: dict[tuple[Letter, tuple[int, ...]], int] = {}
+    mixed = set()
+    for key, c in zip(classes, v):
+        if class_value.setdefault(key, c) != c:
+            mixed.add(key)
+    first_failure("exponent_permutation", (bits for bits in range(size) if classes[bits] in mixed))
 
-    class_values: dict[tuple[Letter, tuple[int, ...]], set[Fraction]] = {}
-    for w in all_words(n):
-        class_values.setdefault(_run_class(w), set()).add(coeff(w))
-    per_word("exponent_permutation", lambda w: len(class_values[_run_class(w)]) == 1)
+    # Visiting the bits in order, an unseen word is the least of its rotation
+    # class, so the first class with a non-zero sum holds the first failing
+    # word.  A word of period p meets its class n/p times among its n shifts,
+    # so the shift sum vanishes exactly when the class sum does.
+    seen = bytearray(size)
 
-    # a word of period p meets its rotation class n/p times among its n shifts,
-    # so the shift sum vanishes exactly when the class sum does
-    rotation_sums: dict[int, Fraction] = {}
-    for w in all_words(n):
-        key = _least_rotation(w)
-        rotation_sums[key] = rotation_sums.get(key, _ZERO) + coeff(w)
-    per_word("cyclic_shift_sum", lambda w: rotation_sums[_least_rotation(w)] == 0)
+    def unbalanced_rotation_classes() -> Iterator[int]:
+        for bits in range(size):
+            if not seen[bits]:
+                members = {((bits << i) | (bits >> (n - i))) & mask for i in range(n)}
+                for r in members:
+                    seen[r] = 1
+                if sum(v[r] for r in members):
+                    yield bits
 
-    per_word("interchange_sign", lambda w: coeff(interchange(w)) == sign * coeff(w))
+    first_failure("cyclic_shift_sum", unbalanced_rotation_classes())
 
-    per_word(
+    first_failure(
+        "interchange_sign", (bits for bits in range(size) if v[bits ^ mask] != sign * v[bits])
+    )
+
+    # reverse(interchange(w)) has the bits rev[bits] ^ mask
+    first_failure(
         "reversal_rules",
-        lambda w: coeff(reverse(interchange(w))) == coeff(w)
-        and coeff(reverse(w)) == sign * coeff(w),
+        (
+            bits
+            for bits in range(size)
+            if v[rev[bits] ^ mask] != v[bits] or v[rev[bits]] != sign * v[bits]
+        ),
     )
 
     if n % 2 == 0:
         half = n // 2
-        witness = None
-        for u in all_words(half):
-            if coeff(u.concat(reverse(u))) != 0:
-                witness = u.concat(reverse(u))
-                break
-        checks["palindrome_concatenation"] = CheckResult(witness is None, witness)
-
-        def odd_runs_ok(w: Word) -> bool:
-            if len(w.runs()) % 2 == 0:
-                return True
-            return coeff(w) == 0
-
-        per_word("odd_run_count_even_length", odd_runs_ok)
+        # u concatenated with its reverse; rev of the n-bit u << half is u reversed
+        palindromes = ((u << half) | rev[u << half] for u in range(1 << half))
+        first_failure("palindrome_concatenation", (bits for bits in palindromes if v[bits]))
+        # a word has one run more than it has changes between adjacent letters
+        first_failure(
+            "odd_run_count_even_length",
+            (
+                bits
+                for bits in range(size)
+                if v[bits] and not ((bits ^ (bits >> 1)) & (mask >> 1)).bit_count() % 2
+            ),
+        )
     else:
         checks["palindrome_concatenation"] = CheckResult(True, None)
         checks["odd_run_count_even_length"] = CheckResult(True, None)

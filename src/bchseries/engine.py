@@ -24,16 +24,21 @@ only, as exact integer word vectors:
   weighted by binom(i + j, i);
 - M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, evaluated by Horner's rule.
 
-The integers become Fraction coefficients and FreePoly terms once, at the
-end.  Memory doubles per degree (a few dense series of 2^(N+1) ints), so the
-command-line interface caps the series degree at MAX_DEGREE.
+Each degree-d part stays a dense SeriesTerm: 2^d ints over one denominator.
+The census, bound, property and Dynkin consumers read those ints; the
+Fraction/FreePoly body of a term is built only when a caller reads .body.
+The degree-d part does not depend on the truncation N >= d, so the cache
+keeps one entry per preset, at the largest degree asked, and serves lower
+degrees by slicing it.  Memory doubles per degree (a few dense series of
+2^(N+1) ints), so the command-line interface caps the series degree at
+MAX_DEGREE.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -122,11 +127,76 @@ def preset(name: str) -> VariantPreset:
         raise ValueError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}") from None
 
 
-class SeriesTerm(NamedTuple):
-    """The homogeneous degree-n term of a series."""
+class SeriesTerm:
+    """The homogeneous degree-n term of a series.
 
-    degree: int
-    body: FreePoly
+    A term holds its coefficients in the dense form (ints, den), where the
+    coefficient of Word(n, bits) is ints[bits] / den, in a FreePoly body, or
+    in both.  The engine makes dense terms; SeriesTerm(n, body) starts from a
+    body.  Reading the body of a dense term builds it, keeps it and drops the
+    ints, so a term never holds more than its body once a caller has asked for
+    it; reading the dense form of a body derives it, over the lcm of the
+    denominators, and keeps it.  Both forms sit in one attribute that is
+    replaced whole, so a thread always reads a consistent pair; two threads
+    that build a missing form at once build equal values.
+    """
+
+    __slots__ = ("degree", "_forms")
+
+    def __init__(self, degree: int, body: FreePoly):
+        self.degree = degree
+        self._forms: tuple[FreePoly | None, tuple[tuple[int, ...], int] | None] = (body, None)
+
+    @classmethod
+    def from_dense(cls, degree: int, ints: tuple[int, ...], den: int) -> "SeriesTerm":
+        term = object.__new__(cls)
+        term.degree, term._forms = degree, (None, (ints, den))
+        return term
+
+    @property
+    def body(self) -> FreePoly:
+        body, dense = self._forms
+        if body is None:
+            body = FreePoly.from_dense(self.degree, *dense)
+            self._forms = (body, None)
+        return body
+
+    def to_dense(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den): the 2^n coefficient numerators, indexed by Word.bits, over den."""
+        body, dense = self._forms
+        if dense is None:
+            dense = body.to_dense(self.degree)
+            self._forms = (body, dense)
+        return dense
+
+    def sorted_items(self) -> list[tuple[Word, Fraction]]:
+        """The non-zero (word, coefficient) pairs in canonical order."""
+        body, dense = self._forms
+        if body is not None:
+            return body.sorted_items()
+        ints, den = dense
+        n = self.degree
+        return [(Word(n, bits), Fraction(c, den)) for bits, c in enumerate(ints) if c]
+
+    @property
+    def count(self) -> int:
+        """The number of non-zero coefficients."""
+        body, dense = self._forms
+        if body is not None:
+            return len(body)
+        ints = dense[0]
+        return len(ints) - ints.count(0)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SeriesTerm):
+            return self.degree == other.degree and self.body == other.body
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.body))
+
+    def __repr__(self) -> str:
+        return f"SeriesTerm(degree={self.degree}, body={self.body!r})"
 
 
 class UTMatrix:
@@ -352,8 +422,8 @@ def _graded_mul(left: list[list[int]], right: list[list[int]], degree: int) -> l
     return out
 
 
-@lru_cache(maxsize=None)
-def _cached_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
+def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
+    """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)), uncached."""
     # degree-d parts are scaled by d! * L^d (products) and then by M (the log)
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
@@ -370,23 +440,38 @@ def _cached_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
             horner = _graded_mul(horner, a, degree - k + 1)
         horner[0][0] = m // k if k % 2 else -(m // k)
     log = _graded_mul(horner, a, degree)
-    terms = []
-    for d in range(1, degree + 1):
-        den = factorial(d) * scale**d * m
-        body = {Word(d, bits): Fraction(c, den) for bits, c in enumerate(log[d]) if c}
-        terms.append(SeriesTerm(d, FreePoly._raw(body)))
-    return tuple(terms)
+    del product, a, horner  # free the intermediates before the parts are copied
+    return tuple(
+        SeriesTerm.from_dense(d, tuple(log[d]), factorial(d) * scale**d * m)
+        for d in range(1, degree + 1)
+    )
+
+
+# One entry per preset: its terms up to the largest degree asked so far.  An
+# entry is only ever replaced by a longer one, under the lock.
+_PRESET_FACTORS = frozenset(tuple(p.factors) for p in PRESETS.values())
+_series_cache: dict[tuple[ExpFactor, ...], tuple[SeriesTerm, ...]] = {}
+_series_lock = threading.Lock()
 
 
 def series_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
     """The homogeneous terms of degrees 1..N of the variant's series.
 
-    The first row is computed as a graded series of integer word vectors, and
-    the result is cached per (factors, degree).
+    The degree-d part does not depend on N >= d, so a preset's terms are
+    cached once, at the largest N asked, and lower N slice that entry.  Other
+    factor tuples are computed afresh, which keeps the cache bounded.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    return _cached_series(tuple(variant.factors), degree)
+    factors = tuple(variant.factors)
+    terms = _series_cache.get(factors, ())
+    if len(terms) < degree:
+        terms = _graded_series(factors, degree)
+        if factors in _PRESET_FACTORS:
+            with _series_lock:
+                if len(_series_cache.get(factors, ())) < degree:
+                    _series_cache[factors] = terms
+    return terms[:degree]
 
 
 def series_term(variant: VariantPreset, degree: int) -> FreePoly:
@@ -398,4 +483,5 @@ def engine_coefficient(w: Word) -> Fraction:
     """The coefficient of word w in the standard-product series, via the engine."""
     if w.length < 1:
         raise ValueError("coefficient of the empty word is undefined")
-    return series_term(PRESETS["standard"], w.length).coeff(w)
+    ints, den = series_terms(PRESETS["standard"], w.length)[-1].to_dense()
+    return Fraction(ints[w.bits], den)

@@ -8,7 +8,10 @@ test for whether a homogeneous polynomial is a Lie element.
 
 Expansion is one linear map, the recursion [a u] = a[u] - [u]a applied at once
 to all words that start with the letter a.  On a dense degree-n term each of
-the n levels does O(2^n) work, so one expansion costs O(n 2^n).
+the n levels does O(2^n) work, so one expansion costs O(n 2^n).  The map
+exists twice: expand_comm_poly runs it on sparse FreePoly values (claimed
+forms, the reference), and bracket_vector on a dense vector of 2^n ints
+indexed by Word.bits (series terms, is_lie_element).
 """
 
 from __future__ import annotations
@@ -102,6 +105,43 @@ def _bracket(terms: Iterable[tuple[Word, Fraction]]) -> FreePoly:
     return out
 
 
+def bracket_vector(v: Sequence[int]) -> list[int]:
+    """The bracketing map sum v[w] w -> sum v[w] [w] on a dense degree-n vector.
+
+    v holds 2^n coefficients indexed by Word.bits.  The state at stage k holds,
+    for each prefix p of n - k letters, the expanded brackets of the k-letter
+    suffixes, the coefficient of p times the expansion word e at index
+    (p << k) | e.  At k = 1 it is v itself, since [a] = a.  One step takes the
+    last letter a of p into the bracket, a[e] - [e]a: the a[e] part leaves
+    every entry where it is, and the [e]a part subtracts the two halves of
+    each 2^(k+1) block, interleaved.  A step loops either over offsets, with
+    strided slices, or over blocks, with contiguous ones, whichever is
+    shorter.
+    """
+    size = len(v)
+    out = list(v)
+    m = 2
+    while m < size:
+        old, out, step = out, [0] * size, 2 * m
+        if m <= size // step:
+            for e in range(m):
+                for lo, src in ((2 * e, e), (2 * e + 1, m + e)):
+                    out[lo::step] = [x - y for x, y in zip(old[lo::step], old[src::step])]
+        else:
+            for o in range(0, size, step):
+                block = old[o : o + step]
+                out[o : o + step : 2] = [x - y for x, y in zip(block[0::2], block[:m])]
+                out[o + 1 : o + step : 2] = [x - y for x, y in zip(block[1::2], block[m:])]
+        m = step
+    return out
+
+
+def is_lie_vector(v: Sequence[int]) -> bool:
+    """Dynkin-Specht-Wever on a dense degree-n vector: bracketing returns n * v."""
+    n = len(v).bit_length() - 1
+    return bracket_vector(v) == [n * c for c in v]
+
+
 def expand_slots(slots: Sequence[FreePoly]) -> FreePoly:
     """Expand [s1 s2 ... sm] = [s1,[s2,[...,[s_{m-1},s_m]...]]] for Lie-element slots.
 
@@ -155,8 +195,7 @@ def is_lie_element(p: FreePoly) -> bool:
         raise ValueError("is_lie_element needs a homogeneous polynomial")
     if degree == 0:
         return p.is_zero()
-    bracketed = expand_comm_poly(CommPoly(dict(p.items())))
-    return bracketed == p.scale(degree)
+    return is_lie_vector(p.to_dense(degree)[0])
 
 
 def lie_content_check(p: FreePoly) -> dict[tuple[int, int], bool]:

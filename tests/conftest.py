@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from bchseries import FreePoly, SeriesTerm, UTMatrix, VariantPreset, Word, nilpotent_log
+from bchseries import FreePoly, SeriesTerm, UTMatrix, VariantPreset, Word, engine, nilpotent_log
 from bchseries.engine import product_matrix
 
 
@@ -14,6 +15,21 @@ def spec_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
     """The spec route: row 0 of the full matrix log(prod_i exp(a_i X + b_i Y))."""
     z = nilpotent_log(product_matrix(variant.factors, degree))
     return tuple(SeriesTerm(n, z.entry(0, n)) for n in range(1, degree + 1))
+
+
+@pytest.fixture
+def core_runs(monkeypatch):
+    """An empty series cache, and the degrees of every core computation from here on."""
+    degrees = []
+    graded = engine._graded_series
+
+    def counted(factors, degree):
+        degrees.append(degree)
+        return graded(factors, degree)
+
+    monkeypatch.setattr(engine, "_series_cache", {})
+    monkeypatch.setattr(engine, "_graded_series", counted)
+    return degrees
 
 
 def small_fractions(max_num: int = 4, max_den: int = 4) -> st.SearchStrategy[Fraction]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import types
 from fractions import Fraction
 
@@ -152,6 +153,25 @@ class TestRuns:
         assert Word.from_runs([(X, 2), (X, 1)]) == w("X^3")
 
 
+class TestWordBits:
+    def test_bits_outside_the_length_rejected(self):
+        for length, bits in ((2, 7), (2, 4), (0, 1), (3, -1), (-1, 0)):
+            with pytest.raises(ValueError):
+                Word(length, bits)
+
+    def test_boundary_words_accepted(self):
+        assert Word(2, 3) == w("Y^2") and word_format(Word(2, 3)) == "Y^2"
+        assert Word(0, 0) == EMPTY_WORD
+        assert Word(64, (1 << 64) - 1) == w("Y^64")
+
+    def test_still_a_named_tuple(self):
+        word = Word(3, 5)
+        assert (word.length, word.bits) == tuple(word) == (3, 5)
+        assert repr(word) == "Word(length=3, bits=5)"
+        assert pickle.loads(pickle.dumps(word)) == word
+        assert {word: 1}[w("YXY")] == 1
+
+
 @given(
     a=st.integers(-50, 50),
     b=st.integers(1, 50),
@@ -222,6 +242,25 @@ class TestFreePoly:
         assert str(FreePoly.zero()) == "0"
         assert str(FreePoly.one()) == "1"
         assert str(FreePoly.from_letter(X) + FreePoly.from_letter(Y)) == "X + Y"
+
+
+class TestDense:
+    def test_round_trip_on_homogeneous_pieces(self):
+        p = FreePoly({w("XY"): Fraction(1, 2), w("YX"): Fraction(-1, 3), w("Y^2"): 2})
+        ints, den = p.to_dense(2)
+        assert (ints, den) == ((0, 3, -2, 12), 6)
+        assert FreePoly.from_dense(2, ints, den) == p
+        assert FreePoly.zero().to_dense(3) == ((0,) * 8, 1)
+
+    def test_other_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            FreePoly({w("XY"): 1, w("X"): 1}).to_dense(2)
+
+
+@given(p=free_polys())
+def test_dense_round_trip(p):
+    for n, piece in ((n, p.homogeneous(n)) for n in p.degrees()):
+        assert FreePoly.from_dense(n, *piece.to_dense(n)) == piece
 
 
 @given(p=free_polys(), q=free_polys(), r=free_polys())

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from bchseries import (
     FreePoly,
+    SeriesTerm,
     all_words,
     bound_checks,
     census,
@@ -22,6 +23,7 @@ from bchseries import (
     preset,
     property_suite,
     series_term,
+    series_terms,
     word_parse,
 )
 from bchseries.census import PROPERTY_NAMES, CheckResult, census_to_csv, census_to_json
@@ -116,10 +118,16 @@ class TestPropertySuite:
 
     @staticmethod
     def perturb(monkeypatch, word, delta):
-        """Make property_suite read the standard term with delta added to one coefficient."""
-        body = dict(series_term(preset("standard"), word.length).items())
+        """Make property_suite read the standard term with delta added to one coefficient.
+
+        The perturbed term is built from a FreePoly, so property_suite reads
+        the ints that SeriesTerm derives from a body.
+        """
+        terms = series_terms(preset("standard"), word.length)
+        body = dict(terms[-1].body.items())
         body[word] = body.get(word, F(0)) + delta
-        monkeypatch.setattr(sys.modules["bchseries.census"], "series_term", lambda *_: FreePoly(body))
+        perturbed = terms[:-1] + (SeriesTerm(word.length, FreePoly(body)),)
+        monkeypatch.setattr(sys.modules["bchseries.census"], "series_terms", lambda *_: perturbed)
 
     def test_exponent_permutation_can_fail(self, monkeypatch):
         # XY^2X^2 permutes the runs of X^2YX^2 and X^2Y^2X; X^2YX^2 comes

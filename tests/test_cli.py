@@ -215,20 +215,27 @@ class TestVerify:
 def drop_degree_five_word(monkeypatch):
     """Serve the standard series with its first degree-5 word missing.
 
-    The corrupted terms come from the uncached function, so none of them
-    stays in the series cache after the test.
+    The corrupted terms go into an empty cache that the test replaces, so none
+    of them stays in the series cache after the test.
     """
-    cached = engine._cached_series
+    graded = engine._graded_series
     standard = tuple(preset("standard").factors)
 
     def corrupted(factors, degree):
+        terms = graded(factors, degree)
         if factors != standard or degree < 5:
-            return cached(factors, degree)
-        terms = cached.__wrapped__(factors, degree)
+            return terms
         body = dict(terms[4].body.sorted_items()[1:])
         return terms[:4] + (SeriesTerm(5, FreePoly(body)),) + terms[5:]
 
-    monkeypatch.setattr(engine, "_cached_series", corrupted)
+    monkeypatch.setattr(engine, "_series_cache", {})
+    monkeypatch.setattr(engine, "_graded_series", corrupted)
+
+
+@pytest.mark.parametrize("suite", ["properties", "dynkin", "oracle"])
+def test_verify_computes_the_series_once(core_runs, suite):
+    assert run("verify", suite, "--max", "8").exit_code == 0
+    assert core_runs == [8]
 
 
 # (suite, format) -> (exit code, sha256 of stdout) of `verify <suite> --max 6`

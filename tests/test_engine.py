@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from bchseries import (
     Word,
     X,
     Y,
+    all_words,
     build_generator,
     engine_coefficient,
     generator_combination,
@@ -28,6 +32,7 @@ from bchseries import (
 from bchseries import engine
 from bchseries.engine import (
     PRESET_NAMES,
+    SeriesTerm,
     VariantPreset,
     exp_factor,
     factor_matrix,
@@ -482,6 +487,104 @@ class TestSeriesInvariants:
         a = spec_terms(preset("standard"), 5)
         b = spec_terms(preset("standard"), 5)
         assert a == b
+
+
+def fresh_terms(name: str, degree: int):
+    """Dense terms straight from the core, whose bodies no other test has read."""
+    return engine._graded_series(tuple(preset(name).factors), degree)
+
+
+class TestSeriesTerm:
+    def test_body_is_built_on_first_read_and_kept(self):
+        term = fresh_terms("standard", 4)[3]
+        ints, den = term.to_dense()
+        body = term.body
+        assert term.body is body
+        assert body == FreePoly.from_dense(4, ints, den)
+        # the dense form was dropped for the body; it comes back over the lcm denominator
+        assert term.to_dense() == body.to_dense(4) != (ints, den)
+
+    def test_term_from_a_body_has_ints(self):
+        term = SeriesTerm(2, FreePoly({w("XY"): F(1, 2), w("YX"): F(-1, 2)}))
+        assert term.to_dense() == ((0, 1, -1, 0), 2)
+        assert term.count == 2
+        assert term == series_terms(preset("standard"), 2)[1]
+        assert term != SeriesTerm(3, term.body)
+
+    def test_sorted_items_and_count_read_the_ints(self):
+        for name in PRESET_NAMES:
+            for term in fresh_terms(name, 7):
+                items, count = term.sorted_items(), term.count
+                assert items == term.body.sorted_items() and count == len(term.body)
+        body = FreePoly({w("YX"): F(2, 3), w("XY"): F(-1, 6)})
+        assert SeriesTerm(2, body).sorted_items() == body.sorted_items()
+
+    def test_engine_coefficient_reads_the_ints(self):
+        for n in range(1, 9):
+            body = series_term(preset("standard"), n)
+            assert all(engine_coefficient(word) == body.coeff(word) for word in all_words(n))
+
+
+class TestSeriesCache:
+    def test_lower_degree_slices_the_cached_entry(self, core_runs):
+        v = preset("symmetric")
+        series_terms(v, 12)
+        lower = series_terms(v, 8)
+        assert core_runs == [12]
+        assert lower == engine._graded_series(tuple(v.factors), 8)
+        assert core_runs == [12, 8]
+
+    def test_higher_degree_replaces_the_entry(self, core_runs):
+        v = preset("loop")
+        series_terms(v, 5)
+        series_terms(v, 7)
+        series_terms(v, 6)
+        assert core_runs == [5, 7]
+        assert list(engine._series_cache) == [tuple(v.factors)]
+        assert len(engine._series_cache[tuple(v.factors)]) == 7
+
+    def test_one_entry_per_preset_and_none_for_other_factors(self, core_runs):
+        for name in PRESET_NAMES:
+            series_terms(preset(name), 3)
+        series_terms(VariantPreset("custom", (exp_factor(2, 1),)), 3)
+        series_terms(VariantPreset("custom", (exp_factor(2, 1),)), 3)
+        assert len(engine._series_cache) == len(PRESET_NAMES)
+        assert core_runs == [3] * (len(PRESET_NAMES) + 2)
+
+    def test_threads_with_mixed_degrees_get_identical_terms(self, core_runs):
+        factors = tuple(preset("standard").factors)
+        # bodies, not (ints, den): the scaling of a part depends on the degree computed
+        reference = [t.body for t in engine._graded_series(factors, 10)]
+        barrier = threading.Barrier(6)
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            barrier.wait(timeout=60)
+            # every thread asks for the top degree once, at a random point
+            degrees = [rng.randint(1, 10) for _ in range(39)] + [10]
+            rng.shuffle(degrees)
+            for degree in degrees:
+                if [t.body for t in series_terms(preset("standard"), degree)] != reference[:degree]:
+                    errors.append((seed, degree))
+                word = Word(degree, rng.getrandbits(degree))
+                if engine_coefficient(word) != reference[degree - 1].coeff(word):
+                    errors.append((seed, word))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # an entry is never replaced by a shorter one, so the longest asked stays
+        assert len(engine._series_cache[factors]) == 10
 
 
 class TestGrading:

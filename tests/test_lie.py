@@ -22,11 +22,12 @@ from bchseries import (
     preset,
     rewrite_identity_check,
     series_term,
+    series_terms,
     word_parse,
 )
 from bchseries import forms, lie
 from bchseries.forms import CLAIMED_FORMS, check_form, check_forms
-from bchseries.lie import expand_slots, format_comm_poly
+from bchseries.lie import bracket_vector, expand_slots, format_comm_poly, is_lie_vector
 
 w = word_parse
 F = Fraction
@@ -243,6 +244,45 @@ class TestVerifyCommutatorForm:
             expanded.clear()
             verdict = check_form(form)
             assert expanded.count(verdict.claim_poly) == 1, form.label
+
+
+def dense_expansion(p: CommPoly, n: int) -> FreePoly:
+    """bracket_vector on the degree-n CommPoly p, read back as a FreePoly."""
+    ints, den = FreePoly(p.items()).to_dense(n)
+    return FreePoly.from_dense(n, bracket_vector(ints), den)
+
+
+class TestBracketVector:
+    def test_small_degrees(self):
+        assert bracket_vector([0, 5]) == [0, 5]
+        assert bracket_vector([0, 1, 0, 0]) == [0, 1, -1, 0]
+        # [XXY] = X^2Y - 2 XYX + YX^2
+        assert bracket_vector([0, 1, 0, 0, 0, 0, 0, 0]) == [0, 1, -2, 0, 1, 0, 0, 0]
+
+    def test_matches_expand_comm_poly_on_random_values(self):
+        # degrees 3 and up take strided slices in the first steps, contiguous ones later
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            words = list(all_words(n))
+            p = CommPoly(
+                (word, F(rng.randint(-9, 9), rng.randint(1, 6)))
+                for word in rng.sample(words, rng.randint(1, len(words)))
+            )
+            assert dense_expansion(p, n) == expand_comm_poly(p)
+
+    def test_matches_expand_comm_poly_on_standard_terms(self):
+        for term in series_terms(preset("standard"), 10):
+            p = CommPoly(term.body.items())
+            assert dense_expansion(p, term.degree) == expand_comm_poly(p)
+            assert is_lie_vector(term.to_dense()[0])
+
+    def test_single_words_are_not_lie(self):
+        for n in range(2, 9):
+            for bits in (0b1, 1 << (n - 1), (1 << n) - 2):
+                v = [0] * (1 << n)
+                v[bits] = 1
+                assert not is_lie_vector(v)
 
 
 class TestLieElement:
