@@ -13,10 +13,14 @@ independent enumeration routes are provided: a dynamic program over letter
 positions (the workhorse) and a brute-force filter over all block sequences
 (feasible for short words, used to validate the dynamic program).
 
-The dynamic program runs on Python ints.  Its state at position u is scaled
-by u!, so the weight 1/r! of a block running from u to u + r becomes the
-binomial comb(u + r, r); the k-block sums are weighted by M/k with
-M = lcm(1..n), and one Fraction with denominator M * n! is built at the end.
+The dynamic program makes one pass over the positions on Python ints.  Its
+state at position v is scaled by v!, so a block X^r Y^s running from u to v
+weighs the integer v!/(u! r! s!) relative to the state at u.  The block count
+k is packed into the integer: slot k of the state (a fixed number of bits,
+wide enough that no slot carries into the next; goldberg_value proves the
+bound) holds the k-block sum.  The slots of the final state are weighted by
+(-1)^(k-1) M/k with M = lcm(1..n), and one Fraction with denominator M * n!
+is built at the end.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ _ONE = Fraction(1)
 Block = tuple[int, int]
 
 # The longest word the command-line interface sends to goldberg_direct.  The
-# dynamic program takes at most about n^3/6 integer multiply-adds; X^128, the
-# slowest word of that length measured, took 0.16-0.24 s on a 2-vCPU Xeon VM
-# (Python 3.11).
+# dynamic program takes one multiply-add per block, at most n(n+1)/2, each on
+# a packed state of up to n slots of about log2(n! 2^n) bits; X^128 and
+# X^127Y, which have the most blocks of any word of that length, took
+# 0.07-0.08 s each on a 2-vCPU Xeon VM (Python 3.11).
 MAX_DP_LENGTH = 128
 
 
@@ -106,49 +111,63 @@ def block_count(w: Word) -> int:
 
 
 def goldberg_value(w: Word) -> GoldbergValue:
-    """The coefficient of w computed from the explicit block sum, plus K."""
+    """The coefficient of w computed from the explicit block sum, plus K.
+
+    One pass over the end positions v = 1..n.  The blocks ending at v are
+    the non-empty X^r Y^s equal to w[u:v]; they start at every u of w[:v]'s
+    longest X*Y* suffix, and each has the integer weight v!/(u! r! s!).
+    state[v] is the sum of weight * state[u] over them, shifted left by one
+    slot of `width` bits, so that slot k of state[v] holds v! times the sum
+    over the k-block fillings of w[:v] of 1/(r_1! s_1! ... r_k! s_k!).
+
+    The slots never carry.  Let S_v be the sum of the slot values of
+    state[v].  All terms are non-negative, at most one block spans each pair
+    u < v, and a block weighs 1/(r! s!) <= 1 before scaling, so
+    S_v/v! <= sum_{u<v} S_u/u! with S_0 = 1.  Hence S_v <= v! * 2^(v-1)
+    < n! * 2^n for 1 <= v <= n, and every slot, at most S_v, fits in
+    width = (n! << n).bit_length() + 1 bits.
+    """
     n = w.length
     if n < 1:
         raise ValueError("the coefficient of the empty word is undefined")
-    letters = tuple(w.letters())
-    # xrun[u] / yrun[u]: consecutive same letters starting at position u
-    xrun = [0] * (n + 1)
-    yrun = [0] * (n + 1)
-    for u in range(n - 1, -1, -1):
-        if letters[u] == X:
-            xrun[u] = xrun[u + 1] + 1
-        else:
-            yrun[u] = yrun[u + 1] + 1
-
     k_min = block_count(w)
+    width = (factorial(n) << n).bit_length() + 1
+    state = [1]
+    # xrun, yrun: w[:v] ends in X^xrun Y^yrun, with xrun maximal
+    xrun = yrun = 0
+    for v, letter in enumerate(w.letters(), 1):
+        if letter == X:
+            if yrun:
+                xrun = yrun = 0
+            xrun += 1
+        else:
+            yrun += 1
+        # the trailing Y-run starts at ys; a block X^(ys-u) Y^yrun from
+        # u < ys weighs comb(v, yrun) * comb(ys, u), and a block Y^(v-u)
+        # from u >= ys weighs comb(v, u)
+        ys = v - yrun
+        acc = 0
+        for u in range(ys - xrun, ys):
+            acc += comb(ys, u) * state[u]
+        if yrun:
+            acc *= comb(v, yrun)
+            for u in range(ys, v):
+                acc += comb(v, u) * state[u]
+        state.append(acc << width)
+
     m = lcm(*range(1, n + 1))
+    mask = (1 << width) - 1
     total = 0
-    # state[u] = u! * (sum over fillings of the blocks so far that spell w[:u])
-    state = [0] * (n + 1)
-    state[0] = 1
+    packed = state[n]
     for k in range(1, n + 1):
-        # after k - 1 non-empty blocks, state[u] vanishes for u < k - 1
-        half = [0] * (n + 1)
-        for u in range(k - 1, n + 1):
-            value = state[u]
-            if value:
-                for r in range(xrun[u] + 1):
-                    half[u + r] += comb(u + r, r) * value
-        nxt = [0] * (n + 1)
-        for u in range(k - 1, n + 1):
-            value = half[u]
-            if value:
-                for s in range(yrun[u] + 1):
-                    nxt[u + s] += comb(u + s, s) * value
-            # remove the (r, s) = (0, 0) path: blocks must be non-empty
-            nxt[u] -= state[u]
-        state = nxt
-        if state[n]:
+        packed >>= width
+        count = packed & mask
+        if count:
             if k < k_min:
                 raise AssertionError(
                     f"block filling with k={k} < K={k_min} for word {w}"
                 )
-            total += (-1) ** (k - 1) * (m // k) * state[n]
+            total += (-1) ** (k - 1) * (m // k) * count
     return GoldbergValue(w, Fraction(total, m * factorial(n)), k_min)
 
 

@@ -7,7 +7,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -85,6 +85,48 @@ class TestBlockNormalForm:
             assert block_count(word) == len(blocks)
 
 
+def _block_sum_reference(word):
+    """goldberg_value by a loop over the block count k and the positions u.
+
+    state[u] is u! times the sum over the fillings of word[:u] by k blocks;
+    each round places one more block, as an X^r step and then a Y^s step,
+    and drops the empty (0, 0) block.
+    """
+    n = word.length
+    letters = tuple(word.letters())
+    # xrun[u] / yrun[u]: consecutive same letters starting at position u
+    xrun = [0] * (n + 1)
+    yrun = [0] * (n + 1)
+    for u in range(n - 1, -1, -1):
+        if letters[u] == X:
+            xrun[u] = xrun[u + 1] + 1
+        else:
+            yrun[u] = yrun[u + 1] + 1
+    k_min = block_count(word)
+    m = lcm(*range(1, n + 1))
+    total = 0
+    state = [0] * (n + 1)
+    state[0] = 1
+    for k in range(1, n + 1):
+        # after k - 1 non-empty blocks, state[u] vanishes for u < k - 1
+        half = [0] * (n + 1)
+        for u in range(k - 1, n + 1):
+            if state[u]:
+                for r in range(xrun[u] + 1):
+                    half[u + r] += comb(u + r, r) * state[u]
+        nxt = [0] * (n + 1)
+        for u in range(k - 1, n + 1):
+            if half[u]:
+                for s in range(yrun[u] + 1):
+                    nxt[u + s] += comb(u + s, s) * half[u]
+            nxt[u] -= state[u]
+        state = nxt
+        if state[n]:
+            assert k >= k_min, word
+            total += (-1) ** (k - 1) * (m // k) * state[n]
+    return oracle.GoldbergValue(word, F(total, m * factorial(n)), k_min)
+
+
 class TestGoldbergDirect:
     def test_degree_two(self):
         assert goldberg_direct(w("XY")) == F(1, 2)
@@ -117,10 +159,38 @@ class TestGoldbergDirect:
             for word in all_words(n):
                 assert goldberg_direct(word) == goldberg_direct_naive(word), word
 
-    def test_direct_matches_engine_to_degree_six(self):
-        for n in range(1, 7):
+    def test_direct_matches_engine_to_degree_ten(self):
+        for n in range(1, 11):
             for word in all_words(n):
                 assert goldberg_direct(word) == engine_coefficient(word), word
+
+    def test_matches_block_sum_reference_exhaustively(self):
+        for n in range(1, 11):
+            for word in all_words(n):
+                assert goldberg_value(word) == _block_sum_reference(word), word
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 48, 64, 96, 128])
+    def test_matches_block_sum_reference_on_seeded_words(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            word = Word(n, rng.getrandbits(n))
+            assert goldberg_value(word) == _block_sum_reference(word), word
+
+    @pytest.mark.parametrize(
+        "text", ["X^128", "Y^128", "X^64Y^64", "XY" * 64, "X^127Y"],
+        ids=["X^128", "Y^128", "X^64Y^64", "(XY)^64", "X^127Y"],
+    )
+    def test_matches_block_sum_reference_at_the_cap(self, text):
+        word = w(text)
+        assert word.length == oracle.MAX_DP_LENGTH
+        assert goldberg_value(word) == _block_sum_reference(word)
+
+    def test_block_count_guard_fails_on_a_low_filling(self, monkeypatch):
+        # XY^2X has a 2-block filling; claiming K = 3 must trip the guard
+        real = oracle.block_count
+        monkeypatch.setattr(oracle, "block_count", lambda word: real(word) + 1)
+        with pytest.raises(AssertionError, match=r"k=2 < K=3 for word XY\^2X"):
+            goldberg_value(w("XY^2X"))
 
     # Values of the Fraction block-sum loop that the integer dynamic program
     # replaced: the first non-zero coefficient among random.Random(2026)'s
@@ -163,8 +233,9 @@ class TestGoldbergDirect:
         assert goldberg_direct(w(text)) == F(value)
 
     def test_cap_length_matches_closed_form(self):
-        # X^127 Y makes the dynamic program visit every (k, u, r) of a
-        # MAX_DP_LENGTH-letter word; B_127 = 0, so check X^126 Y^2 as well
+        # X^127 Y gives the dynamic program a block for every pair u < v of
+        # a MAX_DP_LENGTH-letter word, so every slot of the packed state is
+        # used; B_127 = 0, so check X^126 Y^2 as well
         assert oracle.MAX_DP_LENGTH == 128
         assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
