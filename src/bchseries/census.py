@@ -17,16 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import Letter, Word, X
 from .engine import PRESETS, SeriesTerm, VariantPreset, series_term, series_terms
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """Non-zero coefficient count at one degree of one variant."""
 
     n: int
@@ -85,14 +83,12 @@ def census_to_json(records: list[CensusRecord]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     witness: Word | None
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     n: int
     checks: dict[str, CheckResult]
 
@@ -222,8 +218,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """Census count at one degree against the prime / even-length bounds."""
 
     n: int
@@ -246,8 +241,7 @@ class BoundRow:
         return True
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rows: list[BoundRow]
 
     @property
@@ -293,8 +287,7 @@ def bound_checks(max_n: int) -> BoundReport:
     return BoundReport(rows)
 
 
-@dataclass(frozen=True)
-class OccurrenceProfile:
+class OccurrenceProfile(NamedTuple):
     """Letter bookkeeping over the non-zero words of one series term.
 
     position_counts[i] counts the words whose i-th letter is the given

@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Callable, Iterator
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Iterator
 
 import click
 
 from .algebra import Word, all_words, word_format, word_parse
 from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_suite
-from .engine import MAX_DEGREE, PRESET_NAMES, engine_coefficient, preset, series_terms
+from .engine import (
+    MAX_DEGREE,
+    PRESET_NAMES,
+    SeriesTerm,
+    preset,
+    series_terms,
+    word_coefficient,
+)
 from .forms import check_forms
 from .lie import format_comm_poly, is_lie_vector
 from .oracle import MAX_DP_LENGTH, goldberg_direct
@@ -66,26 +74,11 @@ def main() -> None:
 def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
     """Print the series terms of degrees 1..N for a variant."""
     series = series_terms(preset(variant), order)
-    if fmt == "json":
-        entries = []
-        for term in series:
-            if quiet:
-                entries.append({"degree": term.degree, "count": term.count})
-            else:
-                entries.append(
-                    {
-                        "degree": term.degree,
-                        "words": [
-                            {
-                                "word": word_format(w),
-                                "num": str(c.numerator),
-                                "den": str(c.denominator),
-                            }
-                            for w, c in term.sorted_items()
-                        ],
-                    }
-                )
+    if fmt == "json" and quiet:
+        entries = [{"degree": term.degree, "count": term.count} for term in series]
         click.echo(json.dumps({"variant": variant, "terms": entries}, indent=2))
+    elif fmt == "json":
+        click.echo(_terms_json(variant, series))
     elif fmt == "csv":
         if quiet:
             lines = ["degree,count"] + [f"{t.degree},{t.count}" for t in series]
@@ -105,33 +98,56 @@ def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
                 click.echo(f"degree {term.degree}: {term.body}")
 
 
+def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> str:
+    """json.dumps({"variant": ..., "terms": [...]}, indent=2), rendered directly.
+
+    The standard library's indented encoder is pure Python.  Every string in
+    this schema is a preset name, a word or an integer, so none needs escaping.
+    """
+    terms = []
+    for term in series:
+        words = [
+            f'        {{\n          "word": "{word_format(w)}",\n          "num": "{c.numerator}",'
+            f'\n          "den": "{c.denominator}"\n        }}'
+            for w, c in term.sorted_items()
+        ]
+        listing = "[\n" + ",\n".join(words) + "\n      ]" if words else "[]"
+        terms.append(f'    {{\n      "degree": {term.degree},\n      "words": {listing}\n    }}')
+    return f'{{\n  "variant": "{variant}",\n  "terms": [\n' + ",\n".join(terms) + "\n  ]\n}"
+
+
 @main.command()
 @click.option("--word", "word_text", required=True, help="Word text, e.g. X^4Y^4.")
+@_variant_option
 @click.option(
     "--mode",
     type=click.Choice(("engine", "oracle", "both")),
     default="engine",
     show_default=True,
     help=(
-        f"Compute via the matrix engine (words up to {MAX_DEGREE} letters), the direct"
-        f" block sum (up to {MAX_DP_LENGTH} letters), or both."
+        "Compute from the word's Reinsch matrices, from the direct block sum"
+        f" (standard only), or both; words up to {MAX_DP_LENGTH} letters."
     ),
 )
-def goldberg(word_text: str, mode: str) -> None:
-    """Print the coefficient of one word in the standard-product series."""
-    limit = MAX_DP_LENGTH if mode == "oracle" else MAX_DEGREE
+def goldberg(word_text: str, variant: str, mode: str) -> None:
+    """Print the coefficient of one word in a variant's series."""
+    if mode != "engine" and variant != "standard":
+        raise click.UsageError(
+            f"--mode {mode} needs --variant standard: the block-sum DP is standard-only"
+        )
     try:
-        w = word_parse(word_text, max_length=limit)
+        w = word_parse(word_text, max_length=MAX_DP_LENGTH)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if w.length < 1:
         raise click.UsageError("the empty word has no coefficient")
-    if mode == "engine":
-        click.echo(str(engine_coefficient(w)))
-    elif mode == "oracle":
+    if mode == "oracle":
         click.echo(str(goldberg_direct(w)))
+        return
+    from_engine = word_coefficient(preset(variant), w)
+    if mode == "engine":
+        click.echo(str(from_engine))
     else:
-        from_engine = engine_coefficient(w)
         from_oracle = goldberg_direct(w)
         click.echo(f"engine: {from_engine}")
         click.echo(f"oracle: {from_oracle}")
@@ -206,9 +222,20 @@ def _dynkin_rows(max_n: int) -> Iterator[Row]:
 
 
 def _oracle_rows(max_n: int) -> Iterator[Row]:
-    series_terms(preset("standard"), max_n)  # one cache entry; engine_coefficient slices it
-    for n in range(1, max_n + 1):
-        bad = next((w for w in all_words(n) if engine_coefficient(w) != goldberg_direct(w)), None)
+    # three routes per word: the graded term, the word's Reinsch matrices, the block-sum DP
+    standard = preset("standard")
+    for term in series_terms(standard, max_n):
+        n, (ints, den) = term.degree, term.to_dense()
+        bad = next(
+            (
+                w
+                for w in all_words(n)
+                if not Fraction(ints[w.bits], den)
+                == word_coefficient(standard, w)
+                == goldberg_direct(w)
+            ),
+            None,
+        )
         line = f"{_STATUS[bad is None]} n={n} engine vs direct sum{_witness_text(bad)}"
         yield bad is None, [line], {"n": n, "pass": bad is None, "witness": _word_or_none(bad)}
 

@@ -32,12 +32,20 @@ keeps one entry per preset, at the largest degree asked, and serves lower
 degrees by slicing it.  Memory doubles per degree (a few dense series of
 2^(N+1) ints), so the command-line interface caps the series degree at
 MAX_DEGREE.
+
+One coefficient does not need the series.  Reinsch's word-specialised
+matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
+(n+1)x(n+1) matrices that carry the letters of one word w of length n on
+their superdiagonal; entry (0, n) of the logarithm of the product is then
+the coefficient of w.  word_coefficient evaluates that entry as an integer
+path sum in one pass over the word, for any preset, in time polynomial in n;
+engine_coefficient is its standard-product case and never touches the
+series cache.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -56,8 +64,7 @@ def exp_factor(a: Coeff, b: Coeff) -> ExpFactor:
     return ExpFactor(Fraction(a), Fraction(b))
 
 
-@dataclass(frozen=True)
-class VariantPreset:
+class VariantPreset(NamedTuple):
     """A named ordered product of exponentials whose log defines a series."""
 
     name: str
@@ -479,9 +486,84 @@ def series_term(variant: VariantPreset, degree: int) -> FreePoly:
     return series_terms(variant, degree)[degree - 1].body
 
 
+def word_coefficient(variant: VariantPreset, w: Word) -> Fraction:
+    """The coefficient of word w in the variant's series, from w's Reinsch matrices.
+
+    Factor f specialises to exp(E_f), where E_f carries the scaled letter
+    weight a_f L or b_f L of w's letter p + 1 at (p, p + 1), with L the lcm of
+    the factor denominators.  Entry (u, v) of the product minus the identity
+    is a block: the factors in order, each over one contiguous segment [p, q)
+    of w[u:v], some segments empty but not all.  A k-block path from 0 to n
+    enters log(1 + A) = sum_k (-1)^(k-1) A^k / k.
+
+    One pass over the end positions v = 1..n.  Values at v are scaled by
+    v! L^v, so a segment [p, q) of factor f weighs the integer comb(q, p)
+    times the product of f's weights over it: the factorials telescope.
+    layers[f][v] sums the paths whose last block is still open, has passed
+    factors 1..f and is at v; layers[0] holds the closed paths.  Closing a
+    block shifts the sum left by one slot of `width` bits, so slot k - 1 of
+    layers[-1][n] holds the k-block path sum.  The slots are weighted by (-1)^(k-1) M/k,
+    with M = lcm(1..n), and one Fraction is built at the end.
+
+    Weights may be negative, and so may slots; every step is linear in the
+    packed integers, so the result equals sum_k S_k 2^((k-1) width) exactly
+    and only the final slots S_k need to fit.  With C the sum over the
+    factors of max(|a_f L|, |b_f L|), a block from u to v weighs at most
+    comb(v, u) C^(v-u) in absolute value (the multinomial theorem over the
+    segments), so the paths of the 2^(n-1) compositions of n give
+    |S_k| <= n! C^n 2^(n-1) < 2^(width-2) for
+    width = (n! C^n << n).bit_length() + 2.  The slots are decoded signed,
+    from the low end.
+    """
+    n = w.length
+    if n < 1:
+        raise ValueError("the coefficient of the empty word is undefined")
+    factors = variant.factors
+    scale = lcm(*[q.denominator for factor in factors for q in factor])
+    bits = w.bits
+    # one step per factor: its scaled weight of each letter, its input layer, its layer
+    layers = [[1] + [0] * n]
+    steps = []
+    bound = 0
+    for a, b in factors:
+        pair = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        bound += max(map(abs, pair))
+        layer = [1] + [0] * n
+        steps.append(([pair[(bits >> i) & 1] for i in range(n - 1, -1, -1)], layers[-1], layer))
+        layers.append(layer)
+    width = ((factorial(n) * bound**n) << n).bit_length() + 2
+    last = layers[-1]
+    for v in range(1, n + 1):
+        for weight, prev, layer in steps:
+            # the empty segment at v, then [p, v) for p = v - 1, v - 2, ... until a zero weight
+            acc = prev[v]
+            run = 1
+            p = v
+            while p:
+                p -= 1
+                run *= weight[p]
+                if not run:
+                    break
+                acc += comb(v, p) * run * prev[p]
+            layer[v] = acc
+        if v < n:
+            closed = last[v] << width
+            for layer in layers:
+                layer[v] += closed
+
+    m = lcm(*range(1, n + 1))
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    packed = last[n]
+    total = 0
+    for k in range(1, n + 1):
+        slot = packed & mask
+        if slot >= half:
+            slot -= 1 << width
+        packed = (packed - slot) >> width
+        total += (m // k if k % 2 else -(m // k)) * slot
+    return Fraction(total, m * factorial(n) * scale**n)
+
+
 def engine_coefficient(w: Word) -> Fraction:
-    """The coefficient of word w in the standard-product series, via the engine."""
-    if w.length < 1:
-        raise ValueError("coefficient of the empty word is undefined")
-    ints, den = series_terms(PRESETS["standard"], w.length)[-1].to_dense()
-    return Fraction(ints[w.bits], den)
+    """The coefficient of word w in the standard-product series, via Reinsch's matrices."""
+    return word_coefficient(PRESETS["standard"], w)

@@ -9,16 +9,14 @@ pass the Lie-element content test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import FreePoly
 from .engine import preset, series_term
 from .lie import CommPoly, comm_parse, expand_comm_poly, lie_content_check
 
 
-@dataclass(frozen=True)
-class ClaimedForm:
+class ClaimedForm(NamedTuple):
     label: str
     variant: str
     degree: int
@@ -81,8 +79,7 @@ CLAIMED_FORMS: tuple[ClaimedForm, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FormVerdict:
+class FormVerdict(NamedTuple):
     """Outcome of checking one claimed form (expanded once, as claim_body)."""
 
     form: ClaimedForm

@@ -38,11 +38,15 @@ _ONE = Fraction(1)
 
 Block = tuple[int, int]
 
-# The longest word the command-line interface sends to goldberg_direct.  The
-# dynamic program takes one multiply-add per block, at most n(n+1)/2, each on
-# a packed state of up to n slots of about log2(n! 2^n) bits; X^128 and
-# X^127Y, which have the most blocks of any word of that length, took
-# 0.07-0.08 s each on a 2-vCPU Xeon VM (Python 3.11).
+# The longest word the command-line interface sends to goldberg_direct or to
+# engine.word_coefficient, in every goldberg mode.  The dynamic program takes
+# one multiply-add per block, at most n(n+1)/2, each on a packed state of up
+# to n slots of about log2(n! 2^n) bits; X^128 and X^127Y, which have the
+# most blocks of any word of that length, took 0.05-0.08 s each on a 2-vCPU
+# Xeon VM (Python 3.11).  word_coefficient takes at most one multiply-add per
+# factor and pair of positions; on the same VM X^128 and X^127Y took
+# 0.07-0.09 s for the standard product and 0.3-0.36 s for
+# symmetric_sum_difference, the slowest preset.
 MAX_DP_LENGTH = 128
 
 

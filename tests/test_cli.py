@@ -9,9 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from bchseries import engine
-from bchseries.algebra import FreePoly
+from bchseries.algebra import FreePoly, word_parse
 from bchseries.cli import VERIFY_SUITES, main
-from bchseries.engine import MAX_DEGREE, SeriesTerm, preset
+from bchseries.engine import MAX_DEGREE, PRESET_NAMES, SeriesTerm, preset
 from bchseries.oracle import MAX_DP_LENGTH, goldberg_xy
 
 
@@ -75,6 +75,27 @@ class TestTerms:
         rendered = json.dumps(json.loads(result.output), indent=2) + "\n"
         assert rendered == result.output
 
+    @pytest.mark.parametrize("variant", PRESET_NAMES)
+    def test_json_equals_the_standard_encoder(self, variant):
+        # the renderer writes the schema directly; it must stay json.dumps(..., indent=2)
+        for order in range(1, 9):
+            result = run("terms", "--variant", variant, "--order", str(order), "--format", "json")
+            assert result.exit_code == 0
+            payload = {
+                "variant": variant,
+                "terms": [
+                    {
+                        "degree": term.degree,
+                        "words": [
+                            {"word": str(word), "num": str(c.numerator), "den": str(c.denominator)}
+                            for word, c in term.sorted_items()
+                        ],
+                    }
+                    for term in engine.series_terms(preset(variant), order)
+                ],
+            }
+            assert result.output == json.dumps(payload, indent=2) + "\n", order
+
 
 class TestGoldberg:
     def test_engine_value(self):
@@ -105,10 +126,11 @@ class TestGoldberg:
         assert result.exit_code == 2
 
     def test_engine_word_above_cap_is_usage_error(self):
+        # every mode shares the DP's cap
         for mode in ("engine", "both"):
-            result = run("goldberg", "--word", f"X^{MAX_DEGREE}Y", "--mode", mode)
+            result = run("goldberg", "--word", f"X^{MAX_DP_LENGTH}Y", "--mode", mode)
             assert result.exit_code == 2
-            assert f"longer than {MAX_DEGREE} letters" in result.output
+            assert f"longer than {MAX_DP_LENGTH} letters" in result.output
 
     def test_oracle_word_above_its_cap_is_usage_error(self):
         for text in (f"X^{MAX_DP_LENGTH}Y", "X^99999999", "Y^99999999999999"):
@@ -116,10 +138,40 @@ class TestGoldberg:
             assert result.exit_code == 2
             assert f"longer than {MAX_DP_LENGTH} letters" in result.output
 
-    def test_oracle_mode_reaches_past_the_engine_cap(self):
-        result = run("goldberg", "--word", "X^10Y^11", "--mode", "oracle")
+    def test_every_mode_reaches_past_the_series_cap(self):
+        assert word_parse("X^10Y^11").length > MAX_DEGREE
+        for mode in ("engine", "oracle"):
+            result = run("goldberg", "--word", "X^10Y^11", "--mode", mode)
+            assert result.exit_code == 0
+            assert result.output.strip() == str(goldberg_xy(10, 11))
+        result = run("goldberg", "--word", "X^127Y", "--mode", "both")
         assert result.exit_code == 0
-        assert result.output.strip() == str(goldberg_xy(10, 11))
+        value = goldberg_xy(127, 1)
+        assert result.output.splitlines() == [f"engine: {value}", f"oracle: {value}"]
+
+    @pytest.mark.parametrize("variant", PRESET_NAMES)
+    def test_variant_in_engine_mode(self, variant):
+        term = engine.series_terms(preset(variant), 5)[-1]
+        for text in ("X^2YXY", "XY^2XY", "YX^3Y"):
+            result = run("goldberg", "--word", text, "--variant", variant)
+            assert result.exit_code == 0
+            assert result.output.strip() == str(term.body.coeff(word_parse(text))), text
+
+    def test_variant_reaches_the_cap(self):
+        # a palindromic product of exponentials has no even-degree terms
+        result = run(
+            "goldberg", "--word", "X^64Y^64", "--variant", "highly_symmetrized_sum_difference"
+        )
+        assert result.exit_code == 0
+        assert result.output.strip() == "0"
+
+    def test_variant_with_the_dp_is_usage_error(self):
+        for mode in ("oracle", "both"):
+            result = run("goldberg", "--word", "X^4Y", "--variant", "loop", "--mode", mode)
+            assert result.exit_code == 2
+            assert "the block-sum DP is standard-only" in result.output
+        result = run("goldberg", "--word", "X^4Y", "--variant", "standard", "--mode", "both")
+        assert result.exit_code == 0
 
 
 class TestCensus:

@@ -519,10 +519,17 @@ class TestSeriesTerm:
         body = FreePoly({w("YX"): F(2, 3), w("XY"): F(-1, 6)})
         assert SeriesTerm(2, body).sorted_items() == body.sorted_items()
 
-    def test_engine_coefficient_reads_the_ints(self):
+    def test_engine_coefficient_matches_the_series_terms(self):
         for n in range(1, 9):
             body = series_term(preset("standard"), n)
             assert all(engine_coefficient(word) == body.coeff(word) for word in all_words(n))
+
+    def test_engine_coefficient_runs_no_series(self, core_runs):
+        rng = random.Random(6)
+        for n in range(1, 13):
+            for word in (Word(n, 0), Word(n, rng.getrandbits(n))):
+                engine_coefficient(word)
+        assert core_runs == [] and engine._series_cache == {}
 
 
 class TestSeriesCache:

@@ -27,13 +27,18 @@ from bchseries import (
     goldberg_value,
     goldberg_xy,
     goldberg_xy_images,
+    word_coefficient,
     word_parse,
 )
-from bchseries import oracle
+from bchseries import engine, oracle
+from bchseries.engine import PRESET_NAMES, VariantPreset, exp_factor, preset
 from bchseries.oracle import enumerate_block_seqs
 
 w = word_parse
 F = Fraction
+STANDARD = preset("standard")
+# not a preset: L = 6, and weights above 1 in absolute value
+CUSTOM = VariantPreset("custom", (exp_factor(2, F(-1, 3)), exp_factor(F(1, 2), 3)))
 
 
 class TestCollapse:
@@ -241,74 +246,48 @@ class TestGoldbergDirect:
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
 
 
-def _matmul(a, b):
-    size = len(a)
-    out = [[F(0)] * size for _ in range(size)]
-    for i, row in enumerate(a):
-        for k, entry in enumerate(row):
-            if entry:
-                for j, other in enumerate(b[k]):
-                    if other:
-                        out[i][j] += entry * other
-    return out
-
-
-def _reinsch_coefficient(word):
-    """The (0, n) entry of log(exp(X_w) exp(Y_w)) for scalar (n+1)x(n+1) X_w, Y_w.
-
-    X_w has a 1 at (i, i+1) exactly when letter i+1 of the word is X, and
-    Y_w likewise, so every path from 0 to n through them spells the word.
-    """
-    n = word.length
-    exps = []
-    for letter in (X, Y):
-        gen = [[F(0)] * (n + 1) for _ in range(n + 1)]
-        for i, each in enumerate(word.letters()):
-            if each == letter:
-                gen[i][i + 1] = F(1)
-        total = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-        power = gen
-        for j in range(1, n + 1):
-            if not any(any(row) for row in power):
-                break
-            total = [
-                [t + p / factorial(j) for t, p in zip(trow, prow)]
-                for trow, prow in zip(total, power)
-            ]
-            power = _matmul(power, gen)
-        exps.append(total)
-    nilpotent = _matmul(*exps)
-    for i in range(n + 1):
-        nilpotent[i][i] -= 1
-    # only row 0 of log(1 + N) = sum (-1)^(k-1) N^k / k is needed
-    row = nilpotent[0]
-    coefficient = F(0)
-    for k in range(1, n + 1):
-        coefficient += F((-1) ** (k - 1), k) * row[n]
-        row = [
-            sum((row[i] * nilpotent[i][j] for i in range(j) if row[i]), F(0))
-            for j in range(n + 1)
-        ]
-    return coefficient
-
-
 class TestReinschMatrices:
-    """A third route to the coefficient: Reinsch's word-specialised matrices."""
+    """The library's single-word route: Reinsch's word-specialised matrices."""
 
     def test_short_words_match_engine(self):
-        for n in range(1, 6):
-            for word in all_words(n):
-                assert _reinsch_coefficient(word) == engine_coefficient(word), word
+        for variant in [preset(name) for name in PRESET_NAMES] + [CUSTOM]:
+            for term in engine._graded_series(tuple(variant.factors), 9):
+                ints, den = term.to_dense()
+                for word in all_words(term.degree):
+                    expected = F(ints[word.bits], den)
+                    assert word_coefficient(variant, word) == expected, (variant.name, word)
 
-    @pytest.mark.parametrize("n", [16, 20, 24, 28, 32])
+    @pytest.mark.parametrize("n", [16, 20, 24, 28, 32, 40, 64, 128])
     def test_long_words_match_direct_sum(self, n):
         rng = random.Random(n)
-        for _ in range(2):
+        for _ in range(3):
             word = Word(n, rng.getrandbits(n))
-            assert _reinsch_coefficient(word) == goldberg_direct(word), word
+            assert word_coefficient(STANDARD, word) == goldberg_direct(word), word
         a = rng.randint(1, n - 1)
         word = Word.from_runs([(X, a), (Y, n - a)])
-        assert _reinsch_coefficient(word) == goldberg_xy(a, n - a)
+        assert word_coefficient(STANDARD, word) == goldberg_xy(a, n - a)
+
+    @pytest.mark.parametrize("text, value", TestGoldbergDirect.PINNED)
+    def test_pinned_long_words(self, text, value):
+        assert word_coefficient(STANDARD, w(text)) == F(value)
+
+    @pytest.mark.parametrize("text", ["X^128", "X^127Y", "X^64Y^64"])
+    def test_cap_length_words(self, text):
+        word = w(text)
+        assert word.length == oracle.MAX_DP_LENGTH
+        value = goldberg_xy(word.count_x, word.count_y)
+        assert word_coefficient(STANDARD, word) == value == goldberg_direct(word)
+
+    def test_matches_closed_form(self):
+        for n in range(1, 33):
+            for a in range(n + 1):
+                word = Word.from_runs([run for run in ((X, a), (Y, n - a)) if run[1]])
+                assert word_coefficient(STANDARD, word) == goldberg_xy(a, n - a), word
+
+    def test_empty_word_rejected(self):
+        for name in PRESET_NAMES:
+            with pytest.raises(ValueError):
+                word_coefficient(preset(name), w(""))
 
 
 class TestBernoulli:
