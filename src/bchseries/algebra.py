@@ -157,9 +157,16 @@ def word_parse(text: str, max_length: int | None = None) -> Word:
 
 def word_format(w: Word) -> str:
     """Canonical run-length text of a word; the empty word formats as ''."""
-    return "".join(
-        letter.name if mult == 1 else f"{letter.name}^{mult}" for letter, mult in w.runs()
-    )
+    text = []
+    bits, n = w.bits, w.length
+    while n:
+        # the run loop of Word.runs, writing "XY"[top] instead of building a Letter
+        top = bits >> (n - 1)
+        rest = (bits ^ ((1 << n) - 1) if top else bits).bit_length()
+        text.append("XY"[top] if n - rest == 1 else f"{'XY'[top]}^{n - rest}")
+        bits &= (1 << rest) - 1
+        n = rest
+    return "".join(text)
 
 
 def interchange(w: Word) -> Word:

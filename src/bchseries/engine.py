@@ -19,9 +19,11 @@ only, as exact integer word vectors:
   d! * L^d, where L is the lcm of the factor denominators; the logarithm also
   multiplies by M = lcm(1..N), so every step is integer arithmetic;
 - in that scaling the degree-d part of exp(a X + b Y) gives each word
-  (aL)^#X (bL)^#Y;
+  (aL)^#X (bL)^#Y, so the exponential is never stored: each factor is
+  multiplied in by a recurrence over the prefixes of the output words
+  (_factor_mul), about 2^(d+1) steps at degree d and 2^(N+2) per factor;
 - concatenating a degree-i and a degree-j part is their Kronecker product,
-  weighted by binom(i + j, i);
+  weighted by binom(i + j, i); the logarithm is the only user of it;
 - M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, evaluated by Horner's rule.
 
 Each degree-d part stays a dense SeriesTerm: 2^d ints over one denominator.
@@ -383,24 +385,48 @@ def product_matrix(factors: Iterable[ExpFactor], degree: int) -> UTMatrix:
     return acc
 
 
-def _exp_series(factor: ExpFactor, scale: int, degree: int) -> list[list[int]]:
-    """exp(a*X + b*Y) as a scaled graded series: each word gets (aL)^#X (bL)^#Y."""
-    a = int(factor.a * scale)
-    b = int(factor.b * scale)
-    parts = [[1]]
-    for _ in range(degree):
-        parts.append([c * letter for c in parts[-1] for letter in (a, b)])
-    return parts
+def _factor_mul(product: list[list[int]], factor: ExpFactor, scale: int) -> list[list[int]]:
+    """The scaled graded series product * exp(a*X + b*Y), at product's degree.
+
+    This is row 0 of P exp(a X_N + b Y_N).  In the scaling, the degree-k part
+    of the exponential gives each word (aL)^#X (bL)^#Y, so the degree-d part
+    of the result is q_d[w] = sum_t binom(d, t) p_t[w[:t]] * the weights of the letters of
+    w[t:].  For each d that sum is built over the prefix levels t = 1..d:
+    S_0 = p_0 and S_t[2u + x] = S_(t-1)[u] * (aL if x == 0 else bL) +
+    binom(d, t) p_t[2u + x], so q_d = S_d, about 2^(d+1) steps.  A level
+    skips the p_t term when p_t is zero and a letter whose weight is zero.
+    """
+    weights = (int(factor.a * scale), int(factor.b * scale))
+    live = [any(part) for part in product]
+    out = [product[0]]
+    for d in range(1, len(product)):
+        level = product[0]
+        for t in range(1, d + 1):
+            nxt = [0] * (1 << t)
+            part, weight_t = product[t], comb(d, t)
+            for x, weight in enumerate(weights):
+                if not live[t]:
+                    if weight:
+                        nxt[x::2] = [c * weight for c in level]
+                elif weight:
+                    nxt[x::2] = [c * weight + weight_t * y for c, y in zip(level, part[x::2])]
+                else:
+                    nxt[x::2] = [weight_t * y for y in part[x::2]]
+            level = nxt
+        out.append(level)
+    return out
 
 
 def _graded_mul(left: list[list[int]], right: list[list[int]], degree: int) -> list[list[int]]:
     """The product of two scaled graded series, truncated at the given degree.
 
-    Parts of degrees i and j concatenate into their Kronecker product at degree
-    i + j, indexed (u << j) | v; the weight binom(i + j, i) keeps the d!
-    scaling.  Each pair of parts is added either as one stride-2^j slice per
-    non-zero right entry v or as one contiguous slice per non-zero left entry
-    u, whichever touches fewer elements, counting a slice as 16 elements.
+    Only the Horner steps of the logarithm use it; the factors go through
+    _factor_mul.  Parts of degrees i and j concatenate into their Kronecker
+    product at degree i + j, indexed (u << j) | v; the weight binom(i + j, i)
+    keeps the d! scaling.  Each pair of parts is added either as one
+    stride-2^j slice per non-zero right entry v or as one contiguous slice
+    per non-zero left entry u, whichever touches fewer elements, counting a
+    slice as 16 elements.
     """
     out = [[0] * (1 << d) for d in range(degree + 1)]
     left_nz = [[(u, c) for u, c in enumerate(part) if c] for part in left[: degree + 1]]
@@ -431,11 +457,13 @@ def _graded_mul(left: list[list[int]], right: list[list[int]], degree: int) -> l
 
 def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
     """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)), uncached."""
-    # degree-d parts are scaled by d! * L^d (products) and then by M (the log)
+    # degree-d parts are scaled by d! * L^d (products) and then by M (the log);
+    # each factor costs about 2^(N+2) steps, against N * 2^(N+1) for a dense
+    # Kronecker product with its exponential
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
     for factor in factors:
-        product = _graded_mul(product, _exp_series(factor, scale, degree), degree)
+        product = _factor_mul(product, factor, scale)
     # M * log(1 + A) = A * R_1 by Horner's rule, with R_N = c_N and
     # R_k = c_k + R_(k+1) * A, where c_k = (-1)^(k-1) M/k.  R_k only matters
     # up to degree N - k + 1, because A^(k-1) multiplies it.

@@ -70,6 +70,15 @@ class TestWordParse:
         assert word_format(w("XYXY")) == "XYXY"
         assert word_format(EMPTY_WORD) == ""
 
+    def test_format_matches_the_runs(self):
+        for n in range(11):
+            for word in all_words(n):
+                text = "".join(
+                    letter.name if mult == 1 else f"{letter.name}^{mult}"
+                    for letter, mult in word.runs()
+                )
+                assert word_format(word) == text
+
 
 class TestWordOps:
     def test_interchange(self):

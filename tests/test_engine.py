@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +489,92 @@ class TestSeriesInvariants:
         a = spec_terms(preset("standard"), 5)
         b = spec_terms(preset("standard"), 5)
         assert a == b
+
+
+def _kronecker_factor_mul(product, factor, scale):
+    """product * exp(a*X + b*Y) as a binomial-weighted Kronecker product.
+
+    The exponential is stored: its degree-j part gives each word
+    (aL)^#X (bL)^#Y.  Parts of degrees i and j concatenate at index
+    (u << j) | v with the weight binom(i + j, i).
+    """
+    degree = len(product) - 1
+    letters = (int(factor.a * scale), int(factor.b * scale))
+    exp = [[1]]
+    for _ in range(degree):
+        exp.append([c * letter for c in exp[-1] for letter in letters])
+    out = [[0] * (1 << d) for d in range(degree + 1)]
+    for i, left in enumerate(product):
+        for j, right in enumerate(exp[: degree + 1 - i]):
+            weight = comb(i + j, i)
+            pairs = itertools.product(left, right)
+            out[i + j] = [o + weight * x * y for o, (x, y) in zip(out[i + j], pairs)]
+    return out
+
+
+def _factor_products(factors, degree, mul):
+    """Every partial product of the factors, in the graded core's scaling, via mul."""
+    scale = lcm(*(q.denominator for factor in factors for q in factor))
+    product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
+    partials = []
+    for factor in factors:
+        product = mul(product, factor, scale)
+        partials.append(product)
+    return partials
+
+
+def _random_factors(seed):
+    """1-5 factors with denominators up to 7; in a quarter of the seeds each, one
+    factor gets a = 0, b = 0 or both."""
+    rng = random.Random(seed)
+
+    def weight():
+        return F(rng.randint(-3, 3), rng.randint(1, 7))
+
+    factors = [exp_factor(weight(), weight()) for _ in range(rng.randint(1, 5))]
+    k = rng.randrange(len(factors))
+    a, b = factors[k]
+    factors[k] = [factors[k], exp_factor(0, b), exp_factor(a, 0), exp_factor(0, 0)][seed % 4]
+    return tuple(factors)
+
+
+class TestFactorProduct:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_the_kronecker_product_on_presets(self, name):
+        factors = tuple(preset(name).factors)
+        assert _factor_products(factors, 14, engine._factor_mul) == _factor_products(
+            factors, 14, _kronecker_factor_mul
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_kronecker_product_on_random_factors(self, seed):
+        factors = _random_factors(seed)
+        degree = 1 + seed % 12
+        assert _factor_products(factors, degree, engine._factor_mul) == _factor_products(
+            factors, degree, _kronecker_factor_mul
+        )
+
+    def test_random_factors_cover_zero_weights(self):
+        factors = [f for seed in range(30) for f in _random_factors(seed)]
+        assert any(a == 0 and b != 0 for a, b in factors)
+        assert any(b == 0 and a != 0 for a, b in factors)
+        assert exp_factor(0, 0) in factors
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_kronecker_product_on_sparse_series(self, seed):
+        # any graded series, not only a product of exponentials: some parts
+        # are zero, among them sometimes p_0, and the live ones are random
+        rng = random.Random(seed)
+        degree = rng.randint(1, 10)
+        product = [
+            [rng.randint(-9, 9) for _ in range(1 << d)] if rng.random() < 0.6 else [0] * (1 << d)
+            for d in range(degree + 1)
+        ]
+        factor = _random_factors(100 + seed)[0]
+        scale = lcm(*range(1, 8))  # clears every denominator up to 7
+        assert engine._factor_mul(product, factor, scale) == _kronecker_factor_mul(
+            product, factor, scale
+        )
 
 
 def fresh_terms(name: str, degree: int):
