@@ -18,10 +18,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Letter, Word, X
-from .engine import PRESETS, SeriesTerm, VariantPreset, series_term, series_terms
+from .algebra import Letter, Word
+from .engine import PRESETS, SeriesTerm, VariantPreset, series_terms
 
 
 class CensusRecord(NamedTuple):
@@ -318,26 +319,42 @@ class OccurrenceProfile(NamedTuple):
 
 
 def letter_occurrence_profile(n: int, variant: VariantPreset | None = None) -> OccurrenceProfile:
-    """Per-position letter counts and maximal-run histograms at degree n."""
+    """Per-position letter counts and maximal-run histograms at degree n.
+
+    The counts read the term's dense ints, where letter i of Word(n, bits) is
+    bit n - 1 - i and Y is a set bit.  by_prefix[j][u] counts the non-zero
+    words whose bits above the lowest j are u, so sum(by_prefix[j][p::2^w])
+    counts those whose bits j..j+w-1 hold the pattern p.  A maximal run is
+    such a pattern: its letters, bounded by the other letter on each side
+    that is not an end of the word.
+    """
     variant = variant if variant is not None else PRESETS["standard"]
-    body = series_term(variant, n)
-    x_positions = [0] * n
-    y_positions = [0] * n
-    x_hist: dict[int, int] = {}
-    y_hist: dict[int, int] = {}
-    for w in body.words():
-        for i, letter in enumerate(w.letters()):
-            if letter == X:
-                x_positions[i] += 1
-            else:
-                y_positions[i] += 1
-        for letter, mult in w.runs():
-            hist = x_hist if letter == X else y_hist
-            hist[mult] = hist.get(mult, 0) + 1
+    ints, _ = series_terms(variant, n)[-1].to_dense()
+    by_prefix = [[1 if c else 0 for c in ints]]
+    for _ in range(n):
+        level = by_prefix[-1]
+        by_prefix.append(list(map(add, level[::2], level[1::2])))
+    term_count = by_prefix[n][0]
+    y_positions = [sum(by_prefix[n - 1 - i][1::2]) for i in range(n)]
+    histograms: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for y, hist in enumerate(histograms):
+        other = 1 - y
+        for lo in range(n):
+            for k in range(1, n - lo + 1):
+                start, width, pattern = lo, k, ((1 << k) - 1) * y
+                if lo:
+                    start, width, pattern = lo - 1, k + 1, (pattern << 1) | other
+                if lo + k < n:
+                    pattern |= other << width
+                    width += 1
+                found = sum(by_prefix[start][pattern :: 1 << width])
+                if found:
+                    hist[k] = hist.get(k, 0) + found
+    x_hist, y_hist = histograms
     return OccurrenceProfile(
         n=n,
-        term_count=len(body),
-        x_position_counts=tuple(x_positions),
+        term_count=term_count,
+        x_position_counts=tuple(term_count - y for y in y_positions),
         y_position_counts=tuple(y_positions),
         x_run_histogram=dict(sorted(x_hist.items())),
         y_run_histogram=dict(sorted(y_hist.items())),

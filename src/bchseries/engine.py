@@ -22,9 +22,12 @@ only, as exact integer word vectors:
   (aL)^#X (bL)^#Y, so the exponential is never stored: each factor is
   multiplied in by a recurrence over the prefixes of the output words
   (_factor_mul), about 2^(d+1) steps at degree d and 2^(N+2) per factor;
-- concatenating a degree-i and a degree-j part is their Kronecker product,
-  weighted by binom(i + j, i); the logarithm is the only user of it;
-- M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, evaluated by Horner's rule.
+- M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, with A = P - 1 and P the
+  product, is evaluated by Horner's rule.  Each step R * A is R * P - R: the
+  state R passed through the same factor recurrence that builds P, minus R,
+  so _factor_mul is the only graded product and P is never stored.  The
+  state R_k that A^k multiplies matters only up to degree N - k, so the
+  steps cost about 2^(N+3) per factor in all.
 
 Each degree-d part stays a dense SeriesTerm: 2^d ints over one denominator.
 The census, bound, property and Dynkin consumers read those ints; the
@@ -385,25 +388,28 @@ def product_matrix(factors: Iterable[ExpFactor], degree: int) -> UTMatrix:
     return acc
 
 
-def _factor_mul(product: list[list[int]], factor: ExpFactor, scale: int) -> list[list[int]]:
-    """The scaled graded series product * exp(a*X + b*Y), at product's degree.
+def _factor_mul(series: list[list[int]], factor: ExpFactor, scale: int) -> list[list[int]]:
+    """The scaled graded series times exp(a*X + b*Y), at the series' degree.
 
-    This is row 0 of P exp(a X_N + b Y_N).  In the scaling, the degree-k part
-    of the exponential gives each word (aL)^#X (bL)^#Y, so the degree-d part
-    of the result is q_d[w] = sum_t binom(d, t) p_t[w[:t]] * the weights of the letters of
-    w[t:].  For each d that sum is built over the prefix levels t = 1..d:
-    S_0 = p_0 and S_t[2u + x] = S_(t-1)[u] * (aL if x == 0 else bL) +
-    binom(d, t) p_t[2u + x], so q_d = S_d, about 2^(d+1) steps.  A level
-    skips the p_t term when p_t is zero and a letter whose weight is zero.
+    The series is any graded series in the d! * L^d scaling: a partial product
+    of factor exponentials, or a Horner state of the logarithm, whose constant
+    is c_k and whose entries may be negative.  This is row 0 of the series'
+    Toeplitz matrix times exp(a X_N + b Y_N).  In the scaling, the degree-k
+    part of the exponential gives each word (aL)^#X (bL)^#Y, so the degree-d
+    part of the result is q_d[w] = sum_t binom(d, t) s_t[w[:t]] * the weights
+    of the letters of w[t:].  For each d that sum is built over the prefix
+    levels t = 1..d: S_0 = s_0 and S_t[2u + x] = S_(t-1)[u] * (aL if x == 0 else bL) +
+    binom(d, t) s_t[2u + x], so q_d = S_d, about 2^(d+1) steps.  A level
+    skips the s_t term when s_t is zero and a letter whose weight is zero.
     """
     weights = (int(factor.a * scale), int(factor.b * scale))
-    live = [any(part) for part in product]
-    out = [product[0]]
-    for d in range(1, len(product)):
-        level = product[0]
+    live = [any(part) for part in series]
+    out = [series[0]]
+    for d in range(1, len(series)):
+        level = series[0]
         for t in range(1, d + 1):
             nxt = [0] * (1 << t)
-            part, weight_t = product[t], comb(d, t)
+            part, weight_t = series[t], comb(d, t)
             for x, weight in enumerate(weights):
                 if not live[t]:
                     if weight:
@@ -417,67 +423,28 @@ def _factor_mul(product: list[list[int]], factor: ExpFactor, scale: int) -> list
     return out
 
 
-def _graded_mul(left: list[list[int]], right: list[list[int]], degree: int) -> list[list[int]]:
-    """The product of two scaled graded series, truncated at the given degree.
-
-    Only the Horner steps of the logarithm use it; the factors go through
-    _factor_mul.  Parts of degrees i and j concatenate into their Kronecker
-    product at degree i + j, indexed (u << j) | v; the weight binom(i + j, i)
-    keeps the d! scaling.  Each pair of parts is added either as one
-    stride-2^j slice per non-zero right entry v or as one contiguous slice
-    per non-zero left entry u, whichever touches fewer elements, counting a
-    slice as 16 elements.
-    """
-    out = [[0] * (1 << d) for d in range(degree + 1)]
-    left_nz = [[(u, c) for u, c in enumerate(part) if c] for part in left[: degree + 1]]
-    for j, right_j in enumerate(right[: degree + 1]):
-        right_nz = [(v, c) for v, c in enumerate(right_j) if c]
-        if not right_nz:
-            continue
-        step = 1 << j
-        for i in range(min(len(left_nz), degree + 1 - j)):
-            if not left_nz[i]:
-                continue
-            left_i = left[i]
-            out_d = out[i + j]
-            weight = comb(i + j, i)
-            if len(right_nz) * (16 + len(left_i)) <= len(left_nz[i]) * (16 + step):
-                for v, c in right_nz:
-                    c *= weight
-                    out_d[v::step] = [o + c * x for o, x in zip(out_d[v::step], left_i)]
-            else:
-                for u, c in left_nz[i]:
-                    c *= weight
-                    lo = u << j
-                    out_d[lo : lo + step] = [
-                        o + c * y for o, y in zip(out_d[lo : lo + step], right_j)
-                    ]
-    return out
-
-
 def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
     """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)), uncached."""
-    # degree-d parts are scaled by d! * L^d (products) and then by M (the log);
-    # each factor costs about 2^(N+2) steps, against N * 2^(N+1) for a dense
-    # Kronecker product with its exponential
+    # degree-d parts are scaled by d! * L^d, and by M through the constants c_k
     scale = lcm(*(q.denominator for factor in factors for q in factor))
-    product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
-    for factor in factors:
-        product = _factor_mul(product, factor, scale)
-    # M * log(1 + A) = A * R_1 by Horner's rule, with R_N = c_N and
-    # R_k = c_k + R_(k+1) * A, where c_k = (-1)^(k-1) M/k.  R_k only matters
-    # up to degree N - k + 1, because A^(k-1) multiplies it.
-    a = [[0]] + product[1:]
     m = lcm(*range(1, degree + 1))
+    # M * log(1 + A) = R_1 * A by Horner's rule, with R_N = c_N and
+    # R_k = c_k + R_(k+1) * A, where c_k = (-1)^(k-1) M/k.  R_k only matters up
+    # to degree N - k, because A^k multiplies it and A has no constant.  Each
+    # step sets c_k, pads R_k with one zero part and forms R_k * A = R_k * P - R_k,
+    # R_k passed through every factor, minus R_k; the last leaves R_1 * A.
     horner = [[0]]
     for k in range(degree, 0, -1):
-        if k < degree:
-            horner = _graded_mul(horner, a, degree - k + 1)
         horner[0][0] = m // k if k % 2 else -(m // k)
-    log = _graded_mul(horner, a, degree)
-    del product, a, horner  # free the intermediates before the parts are copied
+        state = horner + [[0] * (1 << len(horner))]
+        for factor in factors:
+            state = _factor_mul(state, factor, scale)
+        # R * P - R; R's top part is the zero padding, so R * P's is kept as it is
+        horner = [[x - y for x, y in zip(out, part)] for out, part in zip(state, horner)]
+        horner.append(state[-1])
+    del state  # free the intermediates before the parts are copied
     return tuple(
-        SeriesTerm.from_dense(d, tuple(log[d]), factorial(d) * scale**d * m)
+        SeriesTerm.from_dense(d, tuple(horner[d]), factorial(d) * scale**d * m)
         for d in range(1, degree + 1)
     )
 

@@ -74,7 +74,7 @@ class TestCensus:
             census_sweep(1, preset("standard"))
 
     def test_desk_scale_degrees_fourteen_to_seventeen(self):
-        # a few seconds with the graded-series core; the degree-15 count was
+        # about 0.3 s with the graded-series core; the degree-15 count was
         # also recomputed from the direct block sum over all 2^15 words, which
         # agrees with the engine
         counts = {r.n: (r.count, r.ratio) for r in census_sweep(17, preset("standard"))}
@@ -211,6 +211,25 @@ class TestOccurrenceProfile:
         assert profile.x_run_histogram == {1: 158, 2: 72, 3: 32, 4: 14, 5: 6, 6: 2}
         assert profile.consistent
         assert profile.x_total == 62 * 8
+
+    @pytest.mark.parametrize("name", ["standard", "loop", "triangular", "sum_difference"])
+    def test_matches_a_walk_over_the_words(self, name):
+        # the reference reads each non-zero word's letters and runs one by one
+        for n in range(1, 11):
+            words = list(series_term(preset(name), n).words())
+            positions = ([0] * n, [0] * n)  # indexed by the letter, X = 0 and Y = 1
+            histograms: tuple[dict[int, int], dict[int, int]] = ({}, {})
+            for word in words:
+                for i, letter in enumerate(word.letters()):
+                    positions[letter][i] += 1
+                for letter, mult in word.runs():
+                    histograms[letter][mult] = histograms[letter].get(mult, 0) + 1
+            profile = letter_occurrence_profile(n, preset(name))
+            assert profile.term_count == len(words), (name, n)
+            assert profile.x_position_counts == tuple(positions[0]), (name, n)
+            assert profile.y_position_counts == tuple(positions[1]), (name, n)
+            assert profile.x_run_histogram == dict(sorted(histograms[0].items())), (name, n)
+            assert profile.y_run_histogram == dict(sorted(histograms[1].items())), (name, n)
 
 
 class TestSerialization:

@@ -582,6 +582,31 @@ def fresh_terms(name: str, degree: int):
     return engine._graded_series(tuple(preset(name).factors), degree)
 
 
+def _assert_sampled_words_match(variant, terms, rng, samples):
+    """Each term's dense ints against word_coefficient on X^n, Y^n and sampled words."""
+    for term in terms:
+        n = term.degree
+        ints, den = term.to_dense()
+        for bits in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(samples)]:
+            word = Word(n, bits)
+            assert F(ints[bits], den) == engine.word_coefficient(variant, word), (variant, word)
+
+
+class TestHornerLogAgainstWordRoute:
+    """The series' Horner log against the Reinsch word route, past the spec route's degrees."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_at_degrees_10_to_14(self, name):
+        rng = random.Random(f"horner-{name}")
+        _assert_sampled_words_match(preset(name), fresh_terms(name, 14)[9:], rng, 10)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_factors_at_degrees_10_to_12(self, seed):
+        variant = VariantPreset("random", _random_factors(seed))
+        terms = engine._graded_series(variant.factors, 10 + seed % 3)
+        _assert_sampled_words_match(variant, terms[9:], random.Random(seed), 10)
+
+
 class TestSeriesTerm:
     def test_body_is_built_on_first_read_and_kept(self):
         term = fresh_terms("standard", 4)[3]
