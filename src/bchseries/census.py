@@ -117,14 +117,31 @@ def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
 
 
 def property_suite(n: int) -> PropertyReport:
-    """Run the eight coefficient-symmetry checks at degree n (n >= 2).
+    """Run the eight coefficient-symmetry checks at degree n (n >= 2)."""
+    if n < 2:
+        raise ValueError(f"property suite needs n >= 2, got {n}")
+    return _property_report(series_terms(PRESETS["standard"], n)[-1])
+
+
+def property_sweep(max_n: int) -> Iterator[PropertyReport]:
+    """Property reports for n = 2..max_n, from a single series run.
+
+    The series is computed at once; each report is made as it is read, so a
+    caller can print one degree before the next is checked.
+    """
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
+    return map(_property_report, series_terms(PRESETS["standard"], max_n)[1:])
+
+
+def _property_report(term: SeriesTerm) -> PropertyReport:
+    """The eight checks on one term of the standard series.
 
     Each witness is the first failing word in all_words order, that is, the
     least failing bits.
     """
-    if n < 2:
-        raise ValueError(f"property suite needs n >= 2, got {n}")
-    v, _ = series_terms(PRESETS["standard"], n)[-1].to_dense()
+    n = term.degree
+    v, _ = term.to_dense()
     size, mask = 1 << n, (1 << n) - 1
     sign = 1 if n % 2 else -1
     rev = [0] * size

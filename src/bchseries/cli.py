@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Iterator
 import click
 
 from .algebra import Word, all_words, word_format, word_parse
-from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_suite
+from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_sweep
 from .engine import (
     MAX_DEGREE,
     PRESET_NAMES,
@@ -185,10 +185,8 @@ def _witness_text(w: Word | None) -> str:
 
 
 def _property_rows(max_n: int) -> Iterator[Row]:
-    series_terms(preset("standard"), max_n)  # one cache entry; property_suite(n) slices it
-    for n in range(2, max_n + 1):
-        report = property_suite(n)
-        checks = report.checks.items()
+    for report in property_sweep(max_n):
+        n, checks = report.n, report.checks.items()
         lines = [f"{_STATUS[r.passed]} n={n} {name}{_witness_text(r.witness)}" for name, r in checks]
         record = {
             "n": n,

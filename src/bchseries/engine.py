@@ -29,14 +29,12 @@ only, as exact integer word vectors:
   state R_k that A^k multiplies matters only up to degree N - k, so the
   steps cost about 2^(N+3) per factor in all.
 
-Each degree-d part stays a dense SeriesTerm: 2^d ints over one denominator.
-The census, bound, property and Dynkin consumers read those ints; the
-Fraction/FreePoly body of a term is built only when a caller reads .body.
-The degree-d part does not depend on the truncation N >= d, so the cache
-keeps one entry per preset, at the largest degree asked, and serves lower
-degrees by slicing it.  Memory doubles per degree (a few dense series of
-2^(N+1) ints), so the command-line interface caps the series degree at
-MAX_DEGREE.
+Each degree-d part is a dense SeriesTerm: 2^d ints over one denominator.
+The census, bound, property and Dynkin consumers read those ints; reading
+.body builds a Fraction/FreePoly copy that the term does not keep.  Nothing
+is cached: every call computes its series afresh, so no state changes after
+import.  Memory doubles per degree (a few dense series of 2^(N+1) ints), so
+the command-line interface caps the series degree at MAX_DEGREE.
 
 One coefficient does not need the series.  Reinsch's word-specialised
 matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
@@ -44,15 +42,13 @@ matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
 their superdiagonal; entry (0, n) of the logarithm of the product is then
 the coefficient of w.  word_coefficient evaluates that entry as an integer
 path sum in one pass over the word, for any preset, in time polynomial in n;
-engine_coefficient is its standard-product case and never touches the
-series cache.
+engine_coefficient is its standard-product case and runs no series.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
@@ -140,72 +136,57 @@ def preset(name: str) -> VariantPreset:
 
 
 class SeriesTerm:
-    """The homogeneous degree-n term of a series.
+    """The homogeneous degree-n term of a series, in dense form.
 
-    A term holds its coefficients in the dense form (ints, den), where the
-    coefficient of Word(n, bits) is ints[bits] / den, in a FreePoly body, or
-    in both.  The engine makes dense terms; SeriesTerm(n, body) starts from a
-    body.  Reading the body of a dense term builds it, keeps it and drops the
-    ints, so a term never holds more than its body once a caller has asked for
-    it; reading the dense form of a body derives it, over the lcm of the
-    denominators, and keeps it.  Both forms sit in one attribute that is
-    replaced whole, so a thread always reads a consistent pair; two threads
-    that build a missing form at once build equal values.
+    A term holds (ints, den): the coefficient of Word(n, bits) is
+    ints[bits] / den.  The engine builds terms with from_dense;
+    SeriesTerm(n, body) stores body.to_dense(n).  A term never changes after
+    construction: every read of .body builds a new FreePoly.  The engine's
+    den depends on the truncation N, so equality and the hash compare the
+    form reduced by the gcd of den and the ints, that is, the values.
     """
 
-    __slots__ = ("degree", "_forms")
+    __slots__ = ("degree", "_ints", "_den")
 
     def __init__(self, degree: int, body: FreePoly):
         self.degree = degree
-        self._forms: tuple[FreePoly | None, tuple[tuple[int, ...], int] | None] = (body, None)
+        self._ints, self._den = body.to_dense(degree)
 
     @classmethod
     def from_dense(cls, degree: int, ints: tuple[int, ...], den: int) -> "SeriesTerm":
         term = object.__new__(cls)
-        term.degree, term._forms = degree, (None, (ints, den))
+        term.degree, term._ints, term._den = degree, ints, den
         return term
 
     @property
     def body(self) -> FreePoly:
-        body, dense = self._forms
-        if body is None:
-            body = FreePoly.from_dense(self.degree, *dense)
-            self._forms = (body, None)
-        return body
+        return FreePoly.from_dense(self.degree, self._ints, self._den)
 
     def to_dense(self) -> tuple[tuple[int, ...], int]:
         """(ints, den): the 2^n coefficient numerators, indexed by Word.bits, over den."""
-        body, dense = self._forms
-        if dense is None:
-            dense = body.to_dense(self.degree)
-            self._forms = (body, dense)
-        return dense
+        return self._ints, self._den
 
     def sorted_items(self) -> list[tuple[Word, Fraction]]:
         """The non-zero (word, coefficient) pairs in canonical order."""
-        body, dense = self._forms
-        if body is not None:
-            return body.sorted_items()
-        ints, den = dense
-        n = self.degree
-        return [(Word(n, bits), Fraction(c, den)) for bits, c in enumerate(ints) if c]
+        n, den = self.degree, self._den
+        return [(Word(n, bits), Fraction(c, den)) for bits, c in enumerate(self._ints) if c]
 
     @property
     def count(self) -> int:
         """The number of non-zero coefficients."""
-        body, dense = self._forms
-        if body is not None:
-            return len(body)
-        ints = dense[0]
-        return len(ints) - ints.count(0)
+        return len(self._ints) - self._ints.count(0)
+
+    def _reduced(self) -> tuple[int, tuple[int, ...], int]:
+        g = gcd(self._den, *self._ints)
+        return self.degree, tuple(c // g for c in self._ints), self._den // g
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SeriesTerm):
-            return self.degree == other.degree and self.body == other.body
+            return self._reduced() == other._reduced()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.body))
+        return hash(self._reduced())
 
     def __repr__(self) -> str:
         return f"SeriesTerm(degree={self.degree}, body={self.body!r})"
@@ -424,7 +405,7 @@ def _factor_mul(series: list[list[int]], factor: ExpFactor, scale: int) -> list[
 
 
 def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
-    """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)), uncached."""
+    """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y))."""
     # degree-d parts are scaled by d! * L^d, and by M through the constants c_k
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     m = lcm(*range(1, degree + 1))
@@ -449,31 +430,15 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     )
 
 
-# One entry per preset: its terms up to the largest degree asked so far.  An
-# entry is only ever replaced by a longer one, under the lock.
-_PRESET_FACTORS = frozenset(tuple(p.factors) for p in PRESETS.values())
-_series_cache: dict[tuple[ExpFactor, ...], tuple[SeriesTerm, ...]] = {}
-_series_lock = threading.Lock()
-
-
 def series_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
     """The homogeneous terms of degrees 1..N of the variant's series.
 
-    The degree-d part does not depend on N >= d, so a preset's terms are
-    cached once, at the largest N asked, and lower N slice that entry.  Other
-    factor tuples are computed afresh, which keeps the cache bounded.
+    The degree-d part does not depend on N >= d, so the first d terms of a
+    longer run are the same values; each call computes its own run.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    factors = tuple(variant.factors)
-    terms = _series_cache.get(factors, ())
-    if len(terms) < degree:
-        terms = _graded_series(factors, degree)
-        if factors in _PRESET_FACTORS:
-            with _series_lock:
-                if len(_series_cache.get(factors, ())) < degree:
-                    _series_cache[factors] = terms
-    return terms[:degree]
+    return _graded_series(tuple(variant.factors), degree)
 
 
 def series_term(variant: VariantPreset, degree: int) -> FreePoly:

@@ -25,7 +25,6 @@ is built at the end.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
@@ -221,24 +220,23 @@ def goldberg_direct_naive(w: Word) -> Fraction:
     return total
 
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-# held while extending the cache, so that no two threads append the same B_m
-_BERNOULLI_LOCK = threading.Lock()
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0..B_(count-1) for count >= 1, each from sum_{j<=m} comb(m + 1, j) B_j = 0."""
+    numbers = [_ONE]
+    for m in range(1, count):
+        acc = _ZERO
+        for j, b in enumerate(numbers):
+            if b:
+                acc += comb(m + 1, j) * b
+        numbers.append(-acc / (m + 1))
+    return numbers
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n in the convention with B_1 = -1/2."""
     if n < 0:
         raise ValueError(f"Bernoulli numbers need n >= 0, got {n}")
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI_CACHE) <= n:
-            m = len(_BERNOULLI_CACHE)
-            acc = _ZERO
-            for j, b in enumerate(_BERNOULLI_CACHE):
-                if b:
-                    acc += comb(m + 1, j) * b
-            _BERNOULLI_CACHE.append(-acc / (m + 1))
-    return _BERNOULLI_CACHE[n]
+    return _bernoulli_numbers(n + 1)[n]
 
 
 def goldberg_xy(a: int, b: int) -> Fraction:
@@ -250,9 +248,10 @@ def goldberg_xy(a: int, b: int) -> Fraction:
     if b == 0:
         # the closed form needs b >= 1; X^a and Y^a share one coefficient
         a, b = b, a
+    numbers = _bernoulli_numbers(a + b)
     acc = _ZERO
     for i in range(1, b + 1):
-        acc += comb(b, i) * bernoulli(a + b - i)
+        acc += comb(b, i) * numbers[a + b - i]
     return Fraction((-1) ** a, factorial(a) * factorial(b)) * acc
 
 

@@ -19,7 +19,7 @@ def spec_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
 
 @pytest.fixture
 def core_runs(monkeypatch):
-    """An empty series cache, and the degrees of every core computation from here on."""
+    """The degrees of every core series computation from here on."""
     degrees = []
     graded = engine._graded_series
 
@@ -27,7 +27,6 @@ def core_runs(monkeypatch):
         degrees.append(degree)
         return graded(factors, degree)
 
-    monkeypatch.setattr(engine, "_series_cache", {})
     monkeypatch.setattr(engine, "_graded_series", counted)
     return degrees
 

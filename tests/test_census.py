@@ -22,6 +22,7 @@ from bchseries import (
     letter_occurrence_profile,
     preset,
     property_suite,
+    property_sweep,
     series_term,
     series_terms,
     word_parse,
@@ -115,6 +116,13 @@ class TestPropertySuite:
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
             property_suite(1)
+
+    def test_sweep_matches_the_suite_from_one_series_run(self, core_runs):
+        reports = list(property_sweep(9))
+        assert core_runs == [9]
+        assert reports == [property_suite(n) for n in range(2, 10)]
+        with pytest.raises(ValueError):
+            property_sweep(1)
 
     @staticmethod
     def perturb(monkeypatch, word, delta):

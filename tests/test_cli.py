@@ -265,11 +265,7 @@ class TestVerify:
 
 @pytest.fixture
 def drop_degree_five_word(monkeypatch):
-    """Serve the standard series with its first degree-5 word missing.
-
-    The corrupted terms go into an empty cache that the test replaces, so none
-    of them stays in the series cache after the test.
-    """
+    """Serve the standard series with its first degree-5 word missing."""
     graded = engine._graded_series
     standard = tuple(preset("standard").factors)
 
@@ -280,7 +276,6 @@ def drop_degree_five_word(monkeypatch):
         body = dict(terms[4].body.sorted_items()[1:])
         return terms[:4] + (SeriesTerm(5, FreePoly(body)),) + terms[5:]
 
-    monkeypatch.setattr(engine, "_series_cache", {})
     monkeypatch.setattr(engine, "_graded_series", corrupted)
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
 import sys
-import threading
 from fractions import Fraction
 from math import comb, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,8 @@ from bchseries.engine import (
     product_matrix,
 )
 from conftest import small_fractions, spec_terms, strictly_upper_matrices
+
+ROOT = Path(__file__).resolve().parents[1]
 
 w = word_parse
 F = Fraction
@@ -577,11 +581,6 @@ class TestFactorProduct:
         )
 
 
-def fresh_terms(name: str, degree: int):
-    """Dense terms straight from the core, whose bodies no other test has read."""
-    return engine._graded_series(tuple(preset(name).factors), degree)
-
-
 def _assert_sampled_words_match(variant, terms, rng, samples):
     """Each term's dense ints against word_coefficient on X^n, Y^n and sampled words."""
     for term in terms:
@@ -598,7 +597,7 @@ class TestHornerLogAgainstWordRoute:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_at_degrees_10_to_14(self, name):
         rng = random.Random(f"horner-{name}")
-        _assert_sampled_words_match(preset(name), fresh_terms(name, 14)[9:], rng, 10)
+        _assert_sampled_words_match(preset(name), series_terms(preset(name), 14)[9:], rng, 10)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_factors_at_degrees_10_to_12(self, seed):
@@ -608,25 +607,35 @@ class TestHornerLogAgainstWordRoute:
 
 
 class TestSeriesTerm:
-    def test_body_is_built_on_first_read_and_kept(self):
-        term = fresh_terms("standard", 4)[3]
+    def test_reading_the_body_leaves_the_dense_form(self):
+        term = series_terms(preset("standard"), 4)[3]
         ints, den = term.to_dense()
         body = term.body
-        assert term.body is body
         assert body == FreePoly.from_dense(4, ints, den)
-        # the dense form was dropped for the body; it comes back over the lcm denominator
-        assert term.to_dense() == body.to_dense(4) != (ints, den)
+        assert term.body is not body
+        assert term.to_dense() == (ints, den) and term.to_dense()[0] is ints
+
+    def test_body_built_term_equals_the_engine_term(self):
+        for name in PRESET_NAMES:
+            for term in series_terms(preset(name), 6):
+                from_body = SeriesTerm(term.degree, term.body)
+                # the engine's den is d! L^d lcm(1..N); a body's is the lcm of its denominators
+                assert from_body.to_dense() != term.to_dense()
+                assert from_body == term and hash(from_body) == hash(term)
 
     def test_term_from_a_body_has_ints(self):
         term = SeriesTerm(2, FreePoly({w("XY"): F(1, 2), w("YX"): F(-1, 2)}))
         assert term.to_dense() == ((0, 1, -1, 0), 2)
         assert term.count == 2
         assert term == series_terms(preset("standard"), 2)[1]
-        assert term != SeriesTerm(3, term.body)
+        assert term != SeriesTerm(2, term.body.scale(2))
+        # the dense form is made at construction, so a body of another degree is refused
+        with pytest.raises(ValueError):
+            SeriesTerm(3, term.body)
 
     def test_sorted_items_and_count_read_the_ints(self):
         for name in PRESET_NAMES:
-            for term in fresh_terms(name, 7):
+            for term in series_terms(preset(name), 7):
                 items, count = term.sorted_items(), term.count
                 assert items == term.body.sorted_items() and count == len(term.body)
         body = FreePoly({w("YX"): F(2, 3), w("XY"): F(-1, 6)})
@@ -642,69 +651,69 @@ class TestSeriesTerm:
         for n in range(1, 13):
             for word in (Word(n, 0), Word(n, rng.getrandbits(n))):
                 engine_coefficient(word)
-        assert core_runs == [] and engine._series_cache == {}
+        assert core_runs == []
 
 
-class TestSeriesCache:
-    def test_lower_degree_slices_the_cached_entry(self, core_runs):
-        v = preset("symmetric")
-        series_terms(v, 12)
-        lower = series_terms(v, 8)
-        assert core_runs == [12]
-        assert lower == engine._graded_series(tuple(v.factors), 8)
-        assert core_runs == [12, 8]
-
-    def test_higher_degree_replaces_the_entry(self, core_runs):
-        v = preset("loop")
-        series_terms(v, 5)
-        series_terms(v, 7)
-        series_terms(v, 6)
-        assert core_runs == [5, 7]
-        assert list(engine._series_cache) == [tuple(v.factors)]
-        assert len(engine._series_cache[tuple(v.factors)]) == 7
-
-    def test_one_entry_per_preset_and_none_for_other_factors(self, core_runs):
+class TestTruncation:
+    def test_lower_degrees_are_a_prefix_of_a_longer_run(self):
+        # the degree-d part does not depend on the truncation N >= d
         for name in PRESET_NAMES:
-            series_terms(preset(name), 3)
-        series_terms(VariantPreset("custom", (exp_factor(2, 1),)), 3)
-        series_terms(VariantPreset("custom", (exp_factor(2, 1),)), 3)
-        assert len(engine._series_cache) == len(PRESET_NAMES)
-        assert core_runs == [3] * (len(PRESET_NAMES) + 2)
+            v = preset(name)
+            assert series_terms(v, 8) == series_terms(v, 12)[:8], name
 
-    def test_threads_with_mixed_degrees_get_identical_terms(self, core_runs):
-        factors = tuple(preset("standard").factors)
-        # bodies, not (ints, den): the scaling of a part depends on the degree computed
-        reference = [t.body for t in engine._graded_series(factors, 10)]
-        barrier = threading.Barrier(6)
-        errors = []
+    def test_a_prefix_for_factors_outside_the_presets(self):
+        for seed in range(8):
+            v = VariantPreset("random", _random_factors(seed))
+            assert series_terms(v, 6) == series_terms(v, 9)[:6], seed
 
-        def worker(seed):
-            rng = random.Random(seed)
-            barrier.wait(timeout=60)
-            # every thread asks for the top degree once, at a random point
-            degrees = [rng.randint(1, 10) for _ in range(39)] + [10]
-            rng.shuffle(degrees)
-            for degree in degrees:
-                if [t.body for t in series_terms(preset("standard"), degree)] != reference[:degree]:
-                    errors.append((seed, degree))
-                word = Word(degree, rng.getrandbits(degree))
-                if engine_coefficient(word) != reference[degree - 1].coeff(word):
-                    errors.append((seed, word))
 
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        # an entry is never replaced by a shorter one, so the longest asked stays
-        assert len(engine._series_cache[factors]) == 10
+# Run in a fresh interpreter, so that no earlier test has already made a request.
+# Prints each bchseries module global whose identity, or whose contents if it
+# is a mutable container or an lru_cache, the calls changed.
+_STATE_CHECK = """
+import sys
+import bchseries.cli
+from bchseries import (VariantPreset, bernoulli, check_forms, goldberg_direct, goldberg_xy,
+                       preset, property_sweep, series_terms, word_coefficient, word_parse)
+from bchseries.engine import exp_factor
+
+def module_state():
+    state = {}
+    for name, module in list(sys.modules.items()):
+        if name == "bchseries" or name.startswith("bchseries."):
+            for key, value in vars(module).items():
+                if isinstance(value, dict):
+                    contents = list(value.items())
+                elif isinstance(value, (list, set, bytearray)):
+                    contents = list(value)
+                elif hasattr(value, "cache_info"):
+                    contents = value.cache_info()
+                else:
+                    contents = None
+                state[name, key] = (id(value), contents)
+    return state
+
+before = module_state()
+series_terms(preset("symmetric"), 7)[-1].body
+series_terms(VariantPreset("custom", (exp_factor(2, 1), exp_factor(0, -1))), 5)
+word_coefficient(preset("loop"), word_parse("X^2YXY"))
+goldberg_direct(word_parse("XY^3X"))
+goldberg_xy(4, 3)
+bernoulli(12)
+list(property_sweep(6))
+check_forms(max_degree=4)
+after = module_state()
+print(sorted(key for key in before.keys() | after.keys() if before.get(key) != after.get(key)))
+"""
+
+
+def test_calls_leave_every_module_unchanged():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _STATE_CHECK], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 class TestGrading:

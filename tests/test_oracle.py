@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -323,33 +320,6 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
-
-    def test_concurrent_first_use_fills_cache_once(self):
-        # an unguarded check-then-append lets two threads both append B_m,
-        # which shifts every later index
-        cache = oracle._BERNOULLI_CACHE
-        saved = list(cache)
-        interval = sys.getswitchinterval()
-        threads = [
-            threading.Thread(target=bernoulli, args=(60,))
-            for _ in range(4 * (os.cpu_count() or 1))
-        ]
-        try:
-            del cache[1:]
-            sys.setswitchinterval(1e-6)
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            sys.setswitchinterval(interval)
-            concurrent = list(cache)
-            del cache[1:]
-            bernoulli(60)
-            assert concurrent == cache
-        finally:
-            sys.setswitchinterval(interval)
-            cache[:] = saved
 
 
 class TestGoldbergXY:
