@@ -13,28 +13,20 @@ Every matrix in that pipeline is upper-triangular Toeplitz: entry (i, j)
 depends only on j - i and is homogeneous of word degree j - i.  Such a matrix
 is fixed by its first row, a graded series truncated at degree N, and the
 matrix product is the series product.  So series_terms works on first rows
-only, as exact integer word vectors:
+only, in exact integers: the degree-d part is scaled by d! * L^d, with L the
+lcm of the factor denominators, and by M = lcm(1..N) in the logarithm, and
+packed into one int whose fixed-width slots hold its 2^d coefficients.  Each
+factor exp(a X + b Y) multiplies a series from the left by one big-int
+multiply-add per prefix level (_factor_mul).  M * log(1 + A), with A = P - 1
+and P the product, is evaluated by Horner's rule, each step A * R = P * R - R
+with R passed through every factor, so P is never stored: about 2^(N+3) slots
+of work per factor in about N^3/6 operations.
 
-- the degree-d part is a list of 2^d ints indexed by Word.bits and scaled by
-  d! * L^d, where L is the lcm of the factor denominators; the logarithm also
-  multiplies by M = lcm(1..N), so every step is integer arithmetic;
-- in that scaling the degree-d part of exp(a X + b Y) gives each word
-  (aL)^#X (bL)^#Y, so the exponential is never stored: each factor is
-  multiplied in by a recurrence over the prefixes of the output words
-  (_factor_mul), about 2^(d+1) steps at degree d and 2^(N+2) per factor;
-- M * log(1 + A) = sum_k (-1)^(k-1) (M/k) A^k, with A = P - 1 and P the
-  product, is evaluated by Horner's rule.  Each step R * A is R * P - R: the
-  state R passed through the same factor recurrence that builds P, minus R,
-  so _factor_mul is the only graded product and P is never stored.  The
-  state R_k that A^k multiplies matters only up to degree N - k, so the
-  steps cost about 2^(N+3) per factor in all.
-
-Each degree-d part is a dense SeriesTerm: 2^d ints over one denominator.
-The census, bound, property and Dynkin consumers read those ints; reading
-.body builds a Fraction/FreePoly copy that the term does not keep.  Nothing
-is cached: every call computes its series afresh, so no state changes after
-import.  Memory doubles per degree (a few dense series of 2^(N+1) ints), so
-the command-line interface caps the series degree at MAX_DEGREE.
+Each part is then unpacked into a dense SeriesTerm, 2^d ints over one
+denominator, which the census, bound, property and Dynkin consumers read;
+.body builds a Fraction/FreePoly copy.  Nothing is cached, so no state changes
+after import.  Memory doubles per degree, mostly for the 2^(N+1) finished
+ints, so the command-line interface caps the degree at MAX_DEGREE.
 
 One coefficient does not need the series.  Reinsch's word-specialised
 matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
@@ -49,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from struct import iter_unpack
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
@@ -369,65 +362,80 @@ def product_matrix(factors: Iterable[ExpFactor], degree: int) -> UTMatrix:
     return acc
 
 
-def _factor_mul(series: list[list[int]], factor: ExpFactor, scale: int) -> list[list[int]]:
-    """The scaled graded series times exp(a*X + b*Y), at the series' degree.
+def _slot_width(n: int, bound: int, m: int = 1) -> int:
+    """Bits for a signed slot of m times Reinsch path sums at length <= n.
 
-    The series is any graded series in the d! * L^d scaling: a partial product
-    of factor exponentials, or a Horner state of the logarithm, whose constant
-    is c_k and whose entries may be negative.  This is row 0 of the series'
-    Toeplitz matrix times exp(a X_N + b Y_N).  In the scaling, the degree-k
-    part of the exponential gives each word (aL)^#X (bL)^#Y, so the degree-d
-    part of the result is q_d[w] = sum_t binom(d, t) s_t[w[:t]] * the weights
-    of the letters of w[t:].  For each d that sum is built over the prefix
-    levels t = 1..d: S_0 = s_0 and S_t[2u + x] = S_(t-1)[u] * (aL if x == 0 else bL) +
-    binom(d, t) s_t[2u + x], so q_d = S_d, about 2^(d+1) steps.  A level
-    skips the s_t term when s_t is zero and a letter whose weight is zero.
+    With values at position v scaled by v! L^v, L the lcm of the factor
+    denominators, and bound C = sum_f max(|a_f L|, |b_f L|), 0 or a positive
+    integer, a block of the product minus the identity from u to v weighs at
+    most comb(v, u) C^(v-u) (by the multinomial theorem).  So the paths of all
+    2^(n-1) compositions of n weigh at most n! C^n 2^(n-1), and m times any
+    sum of k-block path sums weighted by at most 1 is less than 2^(width-3),
+    all in absolute value.
     """
-    weights = (int(factor.a * scale), int(factor.b * scale))
-    live = [any(part) for part in series]
-    out = [series[0]]
-    for d in range(1, len(series)):
+    return ((m * factorial(n) * bound**n) << n).bit_length() + 2
+
+
+def _factor_mul(series: list[int], factor: ExpFactor, scale: int, width: int) -> None:
+    """Replace the packed graded series by exp(a*X + b*Y) times it.
+
+    Slot i of part d, `width` bits wide, holds the d! * L^d-scaled coefficient
+    s_d[i] of Word(d, i), which may be negative.  The exponential's degree-k
+    part gives each word (aL)^#X (bL)^#Y, so the product's degree-d part is
+    q_d[w] = sum_t binom(d, t) * the weights of w[:d-t] * s_t[w[d-t:]].  As a
+    word's first letter is its high bit, over the prefix levels t = 1..d,
+    S_0 = s_0, S_t = S_(t-1) * aL + (S_(t-1) * bL up by 2^(t-1) slots) +
+    binom(d, t) s_t, and q_d = S_d.  q_d reads s_0..s_d: the top goes first.
+    """
+    a, b = int(factor.a * scale), int(factor.b * scale)
+    for d in range(len(series) - 1, 0, -1):
         level = series[0]
         for t in range(1, d + 1):
-            nxt = [0] * (1 << t)
-            part, weight_t = series[t], comb(d, t)
-            for x, weight in enumerate(weights):
-                if not live[t]:
-                    if weight:
-                        nxt[x::2] = [c * weight for c in level]
-                elif weight:
-                    nxt[x::2] = [c * weight + weight_t * y for c, y in zip(level, part[x::2])]
-                else:
-                    nxt[x::2] = [weight_t * y for y in part[x::2]]
-            level = nxt
-        out.append(level)
-    return out
+            level = level * a + (level * b << (width << (t - 1))) + comb(d, t) * series[t]
+        series[d] = level
+
+
+def _unpack(packed: int, degree: int, width: int) -> tuple[int, ...]:
+    """The 2^degree signed slots of packed, low slot first; width is a multiple of 8."""
+    size, half = width >> 3, 1 << (width - 1)
+    offset = half  # in every slot, by doubling, so that no slot is negative
+    for t in range(degree):
+        offset += offset << (width << t)
+    data = (packed + offset).to_bytes(size << degree, "little")
+    del packed, offset  # freed before the slots are read
+    return tuple([int.from_bytes(s, "little") - half for (s,) in iter_unpack(f"{size}s", data)])
 
 
 def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
-    """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y))."""
+    """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)).
+
+    Every series is packed as in _factor_mul, in slots of whole bytes.  Each
+    step is linear, so a packed int is sum_i v_i 2^(i width) exactly, however
+    large the v_i: only the final coefficients must fit.  That of
+    a word of length d <= N is M times a sum over k of (-1)^(k-1)/k times its
+    k-block path sums, so _slot_width(N, C, M) holds it.
+    """
     # degree-d parts are scaled by d! * L^d, and by M through the constants c_k
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     m = lcm(*range(1, degree + 1))
-    # M * log(1 + A) = R_1 * A by Horner's rule, with R_N = c_N and
-    # R_k = c_k + R_(k+1) * A, where c_k = (-1)^(k-1) M/k.  R_k only matters up
-    # to degree N - k, because A^k multiplies it and A has no constant.  Each
-    # step sets c_k, pads R_k with one zero part and forms R_k * A = R_k * P - R_k,
-    # R_k passed through every factor, minus R_k; the last leaves R_1 * A.
-    horner = [[0]]
+    bound = int(sum(max(abs(a), abs(b)) for a, b in factors) * scale)
+    width = -(-_slot_width(degree, bound, m) // 8) * 8
+    # M * log(1 + A) = A * R_1 by Horner's rule: R_N = c_N, R_k = c_k + A * R_(k+1),
+    # c_k = (-1)^(k-1) M/k, and R_k matters only up to degree N - k.  Each step
+    # pads R_k with a zero part; A * R_k = P * R_k - R_k, R_k being a polynomial in A.
+    horner = [0]
     for k in range(degree, 0, -1):
-        horner[0][0] = m // k if k % 2 else -(m // k)
-        state = horner + [[0] * (1 << len(horner))]
-        for factor in factors:
-            state = _factor_mul(state, factor, scale)
-        # R * P - R; R's top part is the zero padding, so R * P's is kept as it is
-        horner = [[x - y for x, y in zip(out, part)] for out, part in zip(state, horner)]
-        horner.append(state[-1])
-    del state  # free the intermediates before the parts are copied
-    return tuple(
-        SeriesTerm.from_dense(d, tuple(horner[d]), factorial(d) * scale**d * m)
-        for d in range(1, degree + 1)
-    )
+        horner[0] = m // k if k % 2 else -(m // k)
+        state = horner + [0]
+        for factor in reversed(factors):  # P * R_k: the last factor first
+            _factor_mul(state, factor, scale, width)
+        for d, part in enumerate(horner):
+            state[d] -= part
+        horner = state
+    # top down, so each part and its bytes are freed before the next is read
+    parts = [_unpack(horner.pop(), d, width) for d in range(degree, 0, -1)]
+    dens = [factorial(d) * scale**d * m for d in range(degree + 1)]
+    return tuple(SeriesTerm.from_dense(d, parts[-d], dens[d]) for d in range(1, degree + 1))
 
 
 def series_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
@@ -463,17 +471,9 @@ def word_coefficient(variant: VariantPreset, w: Word) -> Fraction:
     factors 1..f and is at v; layers[0] holds the closed paths.  Closing a
     block shifts the sum left by one slot of `width` bits, so slot k - 1 of
     layers[-1][n] holds the k-block path sum.  The slots are weighted by (-1)^(k-1) M/k,
-    with M = lcm(1..n), and one Fraction is built at the end.
-
-    Weights may be negative, and so may slots; every step is linear in the
-    packed integers, so the result equals sum_k S_k 2^((k-1) width) exactly
-    and only the final slots S_k need to fit.  With C the sum over the
-    factors of max(|a_f L|, |b_f L|), a block from u to v weighs at most
-    comb(v, u) C^(v-u) in absolute value (the multinomial theorem over the
-    segments), so the paths of the 2^(n-1) compositions of n give
-    |S_k| <= n! C^n 2^(n-1) < 2^(width-2) for
-    width = (n! C^n << n).bit_length() + 2.  The slots are decoded signed,
-    from the low end.
+    with M = lcm(1..n), and one Fraction is built at the end.  Slots may be
+    negative: every step is linear, so only the final slots must fit, which
+    _slot_width proves, and they are decoded signed.
     """
     n = w.length
     if n < 1:
@@ -491,7 +491,7 @@ def word_coefficient(variant: VariantPreset, w: Word) -> Fraction:
         layer = [1] + [0] * n
         steps.append(([pair[(bits >> i) & 1] for i in range(n - 1, -1, -1)], layers[-1], layer))
         layers.append(layer)
-    width = ((factorial(n) * bound**n) << n).bit_length() + 2
+    width = _slot_width(n, bound)
     last = layers[-1]
     for v in range(1, n + 1):
         for weight, prev, layer in steps:

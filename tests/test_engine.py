@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -495,36 +496,80 @@ class TestSeriesInvariants:
         assert a == b
 
 
-def _kronecker_factor_mul(product, factor, scale):
-    """product * exp(a*X + b*Y) as a binomial-weighted Kronecker product.
+def _kronecker_factor_mul(series, factor, scale):
+    """exp(a*X + b*Y) * series as a binomial-weighted Kronecker product.
 
-    The exponential is stored: its degree-j part gives each word
-    (aL)^#X (bL)^#Y.  Parts of degrees i and j concatenate at index
-    (u << j) | v with the weight binom(i + j, i).
+    The exponential is stored: its degree-i part gives each word
+    (aL)^#X (bL)^#Y.  Its degree-i part and the series' degree-j part
+    concatenate at index (u << j) | v with the weight binom(i + j, i).
     """
-    degree = len(product) - 1
+    degree = len(series) - 1
     letters = (int(factor.a * scale), int(factor.b * scale))
     exp = [[1]]
     for _ in range(degree):
         exp.append([c * letter for c in exp[-1] for letter in letters])
     out = [[0] * (1 << d) for d in range(degree + 1)]
-    for i, left in enumerate(product):
-        for j, right in enumerate(exp[: degree + 1 - i]):
+    for j, right in enumerate(series):
+        for i, left in enumerate(exp[: degree + 1 - j]):
             weight = comb(i + j, i)
             pairs = itertools.product(left, right)
             out[i + j] = [o + weight * x * y for o, (x, y) in zip(out[i + j], pairs)]
     return out
 
 
+def _pack(values, width):
+    """sum_i values[i] << (i * width), summed by halves."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return _pack(values[:half], width) + (_pack(values[half:], width) << (half * width))
+
+
+def _unpack_slots(packed, degree, width):
+    """The 2^degree signed slots of packed: the low half is packed's signed
+    residue modulo 2^(width 2^(degree-1)), the rest is the high half."""
+    if degree == 0:
+        assert -(1 << (width - 1)) <= packed < 1 << (width - 1)
+        return [packed]
+    bits = width << (degree - 1)
+    low = packed & ((1 << bits) - 1)
+    if low >> (bits - 1):
+        low -= 1 << bits
+    high = (packed - low) >> bits
+    return _unpack_slots(low, degree - 1, width) + _unpack_slots(high, degree - 1, width)
+
+
+def _slot_width_for(series_list):
+    """The narrowest signed slot that holds every value of every series."""
+    return 1 + max(abs(v).bit_length() for series in series_list for part in series for v in part)
+
+
+def _packed_factor_mul(series, factor, scale, width):
+    """engine._factor_mul on the packed series, unpacked again."""
+    packed = [_pack(part, width) for part in series]
+    engine._factor_mul(packed, factor, scale, width)
+    return [_unpack_slots(part, d, width) for d, part in enumerate(packed)]
+
+
 def _factor_products(factors, degree, mul):
-    """Every partial product of the factors, in the graded core's scaling, via mul."""
+    """Every partial product exp(f_k) ... exp(f_n), in the graded core's scaling, via mul.
+
+    The graded core multiplies from the left, so the factors run last to first.
+    """
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     product = [[1]] + [[0] * (1 << d) for d in range(1, degree + 1)]
     partials = []
-    for factor in factors:
+    for factor in reversed(factors):
         product = mul(product, factor, scale)
         partials.append(product)
     return partials
+
+
+def _assert_packed_products_match(factors, degree):
+    expected = _factor_products(factors, degree, _kronecker_factor_mul)
+    width = _slot_width_for(expected)
+    packed = functools.partial(_packed_factor_mul, width=width)
+    assert _factor_products(factors, degree, packed) == expected
 
 
 def _random_factors(seed):
@@ -543,20 +588,15 @@ def _random_factors(seed):
 
 
 class TestFactorProduct:
+    """The packed left product against the stored-exponential Kronecker product."""
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_matches_the_kronecker_product_on_presets(self, name):
-        factors = tuple(preset(name).factors)
-        assert _factor_products(factors, 14, engine._factor_mul) == _factor_products(
-            factors, 14, _kronecker_factor_mul
-        )
+        _assert_packed_products_match(tuple(preset(name).factors), 14)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_kronecker_product_on_random_factors(self, seed):
-        factors = _random_factors(seed)
-        degree = 1 + seed % 12
-        assert _factor_products(factors, degree, engine._factor_mul) == _factor_products(
-            factors, degree, _kronecker_factor_mul
-        )
+        _assert_packed_products_match(_random_factors(seed), 1 + seed % 12)
 
     def test_random_factors_cover_zero_weights(self):
         factors = [f for seed in range(30) for f in _random_factors(seed)]
@@ -567,18 +607,31 @@ class TestFactorProduct:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_the_kronecker_product_on_sparse_series(self, seed):
         # any graded series, not only a product of exponentials: some parts
-        # are zero, among them sometimes p_0, and the live ones are random
+        # are zero, among them sometimes p_0, and the others are random and signed
         rng = random.Random(seed)
         degree = rng.randint(1, 10)
-        product = [
+        series = [
             [rng.randint(-9, 9) for _ in range(1 << d)] if rng.random() < 0.6 else [0] * (1 << d)
             for d in range(degree + 1)
         ]
         factor = _random_factors(100 + seed)[0]
         scale = lcm(*range(1, 8))  # clears every denominator up to 7
-        assert engine._factor_mul(product, factor, scale) == _kronecker_factor_mul(
-            product, factor, scale
-        )
+        expected = _kronecker_factor_mul(series, factor, scale)
+        width = _slot_width_for([series, expected])
+        assert _packed_factor_mul(series, factor, scale, width) == expected
+
+
+class TestUnpack:
+    @pytest.mark.parametrize("width", [8, 16, 24, 64, 136])
+    def test_round_trip_at_the_slot_extremes(self, width):
+        half = 1 << (width - 1)
+        extremes = [-half, -1, 0, 1, half - 1]
+        rng = random.Random(width)
+        for degree in range(7):
+            cycled = [extremes[i % 5] for i in range(1 << degree)]
+            shuffled = [rng.choice(extremes) for _ in range(1 << degree)]
+            for values in (cycled, cycled[::-1], shuffled):
+                assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
 
 
 def _assert_sampled_words_match(variant, terms, rng, samples):
