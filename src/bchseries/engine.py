@@ -24,9 +24,12 @@ of work per factor in about N^3/6 operations.
 
 Each part is then unpacked into a dense SeriesTerm, 2^d ints over one
 denominator, which the census, bound, property and Dynkin consumers read;
-.body builds a Fraction/FreePoly copy.  Nothing is cached, so no state changes
-after import.  Memory doubles per degree, mostly for the 2^(N+1) finished
-ints, so the command-line interface caps the degree at MAX_DEGREE.
+.body builds a Fraction/FreePoly copy.  A part whose slots are wider than 8
+bytes but all hold signed 64-bit values, as every part of every preset does
+at N 13 and 14, is read by one struct pass; any other part slot by slot.
+Nothing is cached, so no state changes after import.  Memory doubles per
+degree, mostly for the 2^(N+1) finished ints, so the command-line interface
+caps the degree at MAX_DEGREE.
 
 One coefficient does not need the series.  Reinsch's word-specialised
 matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
@@ -40,8 +43,9 @@ engine_coefficient is its standard-product case and runs no series.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, gcd, lcm
-from struct import iter_unpack
+from struct import Struct, iter_unpack
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
@@ -362,18 +366,44 @@ def product_matrix(factors: Iterable[ExpFactor], degree: int) -> UTMatrix:
     return acc
 
 
-def _slot_width(n: int, bound: int, m: int = 1) -> int:
-    """Bits for a signed slot of m times Reinsch path sums at length <= n.
+def _surjection_rows(n: int) -> list[list[int]]:
+    """Row i holds k! S(i, k), the maps of an i-set onto a k-set, for k = 0..i; i = 0..n."""
+    rows = [[1]]
+    for i in range(n):
+        row = rows[-1]
+        rows.append([k * (a + b) for k, a, b in zip(range(i + 2), [0] + row, row + [0])])
+    return rows
+
+
+# max_k k! S(n, k) for the word lengths n <= MAX_DEGREE, which are queried one
+# word at a time in bulk: the row costs as much as the word's own path sum
+_MOST_SURJECTIONS = tuple(map(max, _surjection_rows(MAX_DEGREE)))
+
+
+def _slot_width(n: int, bound: int, m: int = 0) -> int:
+    """Bits for a signed slot of Reinsch path sums of words of length n.
 
     With values at position v scaled by v! L^v, L the lcm of the factor
     denominators, and bound C = sum_f max(|a_f L|, |b_f L|), 0 or a positive
     integer, a block of the product minus the identity from u to v weighs at
-    most comb(v, u) C^(v-u) (by the multinomial theorem).  So the paths of all
-    2^(n-1) compositions of n weigh at most n! C^n 2^(n-1), and m times any
-    sum of k-block path sums weighted by at most 1 is less than 2^(width-3),
-    all in absolute value.
+    most comb(v, u) C^(v-u) (by the multinomial theorem).  A k-block path
+    with block lengths l_1..l_k weighs at most n! / (l_1! ... l_k!) C^n, and
+    these multinomials summed over the compositions of n into k parts count
+    the surjections of an n-set onto a k-set, k! S(n, k).  So the k-block
+    path sum P_k is at most k! S(n, k) C^n in absolute value, with equality
+    when every letter weighs C and no sign cancels.  With m = 0 a slot holds
+    one P_k (word_coefficient); with m > 0 it holds sum_k +-(m/k) P_k (the
+    series), at most C^n sum_k (m/k) k! S(n, k).  Both bounds grow with n, so
+    they also hold every shorter word, and the width leaves them below
+    2^(width-1).
     """
-    return ((m * factorial(n) * bound**n) << n).bit_length() + 2
+    if m:
+        total = sum(m // k * s for k, s in enumerate(_surjection_rows(n)[n]) if k)
+    elif n <= MAX_DEGREE:
+        total = _MOST_SURJECTIONS[n]
+    else:
+        total = max(_surjection_rows(n)[n])
+    return (total * bound**n).bit_length() + 1
 
 
 def _factor_mul(series: list[int], factor: ExpFactor, scale: int, width: int) -> None:
@@ -395,14 +425,37 @@ def _factor_mul(series: list[int], factor: ExpFactor, scale: int, width: int) ->
         series[d] = level
 
 
+# byte b -> 0xFF if its top bit is set, else 0x00; and a sign byte -> the top
+# byte of 2^(width-1) plus a 64-bit value of that sign
+_SIGN = bytes(0xFF if b >> 7 else 0 for b in range(256))
+_TOP = bytes(0x7F if b >> 7 else 0x80 for b in range(256))
+
+
 def _unpack(packed: int, degree: int, width: int) -> tuple[int, ...]:
-    """The 2^degree signed slots of packed, low slot first; width is a multiple of 8."""
+    """The 2^degree signed slots of packed, low slot first; width is a multiple of 8.
+
+    Slot value v is stored as u = v + 2^(width-1) in `size` little-endian
+    bytes.  For size > 8, v lies in [-2^63, 2^63) exactly when the low 8
+    bytes are v in two's complement, with sign bit s the top bit of byte 7,
+    and the bytes above them are those of 2^(width-1) - s 2^64: 0xFF s in
+    bytes 8..size-2 and 0x7F (s = 1) or 0x80 (s = 0) in the top byte.  These
+    are checked a byte column at a time over all slots; if every slot passes,
+    one struct pass reads each low 8 bytes as a signed q.  Otherwise, and for
+    size <= 8, each slot is read by int.from_bytes less the offset.
+    """
     size, half = width >> 3, 1 << (width - 1)
     offset = half  # in every slot, by doubling, so that no slot is negative
     for t in range(degree):
         offset += offset << (width << t)
     data = (packed + offset).to_bytes(size << degree, "little")
     del packed, offset  # freed before the slots are read
+    if size > 8:
+        sign = data[7::size].translate(_SIGN)
+        if data[size - 1 :: size] == sign.translate(_TOP) and all(
+            data[j::size] == sign for j in range(8, size - 1)
+        ):
+            chunk = Struct("<" + f"q{size - 8}x" * min(256, 1 << degree))
+            return tuple(chain.from_iterable(chunk.iter_unpack(data)))
     return tuple([int.from_bytes(s, "little") - half for (s,) in iter_unpack(f"{size}s", data)])
 
 
@@ -412,7 +465,7 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     Every series is packed as in _factor_mul, in slots of whole bytes.  Each
     step is linear, so a packed int is sum_i v_i 2^(i width) exactly, however
     large the v_i: only the final coefficients must fit.  That of
-    a word of length d <= N is M times a sum over k of (-1)^(k-1)/k times its
+    a word of length d <= N is a sum over k of (-1)^(k-1) M/k times its
     k-block path sums, so _slot_width(N, C, M) holds it.
     """
     # degree-d parts are scaled by d! * L^d, and by M through the constants c_k

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from hashlib import sha256
 from math import comb, lcm
 from pathlib import Path
 
@@ -621,17 +622,97 @@ class TestFactorProduct:
         assert _packed_factor_mul(series, factor, scale, width) == expected
 
 
+# values at the signed 64-bit boundary that fit it, and wide ones just beyond;
+# 2^64 and -2^64 - 2^63 differ from a 64-bit value only in byte 8
+_NARROW = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 1]
+_WIDE = [1 << 63, -(1 << 63) - 1, 1 << 64, -(1 << 64) - (1 << 63)]
+
+
 class TestUnpack:
-    @pytest.mark.parametrize("width", [8, 16, 24, 64, 136])
+    @pytest.mark.parametrize("width", [8, 16, 24, 64, 72, 80, 136, 200])
     def test_round_trip_at_the_slot_extremes(self, width):
         half = 1 << (width - 1)
-        extremes = [-half, -1, 0, 1, half - 1]
+        extremes = [-half, -1, 0, 1, half - 1] + [v for v in _NARROW + _WIDE if -half <= v < half]
         rng = random.Random(width)
-        for degree in range(7):
-            cycled = [extremes[i % 5] for i in range(1 << degree)]
+        for degree in range(9):
+            cycled = [extremes[i % len(extremes)] for i in range(1 << degree)]
             shuffled = [rng.choice(extremes) for _ in range(1 << degree)]
             for values in (cycled, cycled[::-1], shuffled):
                 assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+
+    @pytest.mark.parametrize("width", [72, 80, 136, 200])
+    def test_parts_within_64_bits_take_the_struct_pass(self, width, monkeypatch):
+        monkeypatch.setattr(engine, "iter_unpack", None)  # the per-slot decode would fail
+        rng = random.Random(width)
+        for degree in range(9):
+            values = [rng.choice(_NARROW) for _ in range(1 << degree)]
+            assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+
+    @pytest.mark.parametrize("width", [72, 80, 136, 200])
+    def test_one_wide_slot_first_in_the_middle_or_last(self, width):
+        half = 1 << (width - 1)
+        rng = random.Random(width)
+        for degree in range(9):
+            count = 1 << degree
+            for wide in _WIDE + [-half, half - 1]:
+                for place in (0, count // 2, count - 1):
+                    values = [rng.choice(_NARROW) for _ in range(count)]
+                    values[place] = wide
+                    assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+
+    def test_coefficients_beyond_64_bits_match_the_word_route(self):
+        # the degree-15 part of symmetric_sum_difference at N 16 does not fit 64-bit slots
+        variant = preset("symmetric_sum_difference")
+        ints, den = series_terms(variant, 16)[14].to_dense()
+        wide = [bits for bits, c in enumerate(ints) if not -(1 << 63) <= c < 1 << 63]
+        assert wide
+        for bits in wide:
+            assert F(ints[bits], den) == engine.word_coefficient(variant, Word(15, bits))
+
+
+class TestSlotWidth:
+    def test_surjection_rows_match_inclusion_exclusion(self):
+        rows = engine._surjection_rows(40)
+        for n, row in enumerate(rows):
+            assert row == [
+                sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) for k in range(n + 1)
+            ]
+        assert engine._MOST_SURJECTIONS == tuple(map(max, rows[: engine.MAX_DEGREE + 1]))
+
+    def test_the_path_sum_bound_is_reached(self):
+        # every letter of exp(3X + 3Y) weighs C = 3 with one sign, so the k-block
+        # path sums are k! S(n, k) 3^n: the bound itself, and a narrower slot carries
+        variant = VariantPreset("one factor", (exp_factor(3, 3),))
+        rng = random.Random(3)
+        assert engine.word_coefficient(variant, w("X")) == 3
+        for n in range(2, 41):
+            for word in (Word(n, 0), Word(n, rng.getrandbits(n))):
+                assert engine.word_coefficient(variant, word) == 0, word
+
+
+# sha256 of repr([term._reduced() for term in series_terms(preset(name), N)]):
+# every coefficient's exact value.  At N 16 some slots of symmetric_sum_difference
+# exceed 64 bits, so its top parts take the per-slot decode.
+DENSE_SHA256 = {
+    ("standard", 13): "a6709f1137ab47363c860254489017c9d7974823a89658f67aa412896e52d8b5",
+    ("symmetric", 13): "73d842901ed253231e4dd8f936214699a1a24f0f3c5e79c3e24ab91dc9065974",
+    ("loop", 13): "8be5a5bd737b865fcf362457cb6940c069baa8dfc03803e19e6d4229e6ffdaa4",
+    ("triangular", 13): "911e0af716c9b62ecef991bdd74048154a1445f2dd0ee6d198f95c7d3025be3a",
+    ("sum_difference", 13): "ca56743d210d99e402197be437f7197023324ae226f0b728f406e077b0c3fa96",
+    ("highly_symmetrized", 13): "5957e3feea8017f5ad5517c10c647bdb11909e299b62cd4d23a39d9640aca17c",
+    ("symmetric_sum_difference", 13): "53ef4f55520e0a48f6079ec03dae1906abd40373f25d41728332bb5ba18c9d63",
+    ("highly_symmetrized_sum_difference", 13): (
+        "48c58f6dd529e3d454d5664e44f5ef3b01e83b1f15f10924b9260e505cd80c90"
+    ),
+    ("symmetric_sum_difference", 16): "77e0eb7d427d92b045453fdc8e0881d8ef0ede4604a64cda810578b5ae0a1912",
+}
+
+
+@pytest.mark.parametrize("name, degree", list(DENSE_SHA256))
+def test_dense_values_are_pinned(name, degree):
+    terms = series_terms(preset(name), degree)
+    digest = sha256(repr([term._reduced() for term in terms]).encode()).hexdigest()
+    assert digest == DENSE_SHA256[name, degree]
 
 
 def _assert_sampled_words_match(variant, terms, rng, samples):
