@@ -3,7 +3,7 @@
 
 For each claim the report shows whether its expansion matches the engine's
 word-level term exactly; on a mismatch it prints the difference and whether
-the engine term itself passes the Lie-element content test.
+the engine term itself passes the Lie-element test.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ def main() -> int:
         kind = "strict" if form.strict else "report-only"
         print(f"[{status}] {form.label} ({kind}): {form.claim}")
         if not verdict.matches:
-            lie = all(verdict.engine_content_is_lie.values())
             print(f"    engine term:   {verdict.engine_body}")
             print(f"    claim expands: {verdict.claim_body}")
             print(f"    difference:    {verdict.diff}")
-            print(f"    engine term is a Lie element: {lie}")
+            print(f"    engine term is a Lie element: {verdict.engine_is_lie}")
         if not verdict.ok:
             worst = 1
     return worst

@@ -386,13 +386,6 @@ class FreePoly:
             return degs.pop()
         return None
 
-    def split_by_content(self) -> dict[tuple[int, int], "FreePoly"]:
-        """Group terms by letter content (count of X, count of Y)."""
-        groups: dict[tuple[int, int], dict[Word, Fraction]] = {}
-        for word, coeff in self._terms.items():
-            groups.setdefault((word.count_x, word.count_y), {})[word] = coeff
-        return {key: FreePoly._raw(terms) for key, terms in sorted(groups.items())}
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -404,23 +397,29 @@ _ZERO_POLY = FreePoly._raw({})
 _ONE_POLY = FreePoly._raw({EMPTY_WORD: _ONE})
 
 
+def format_sum(items: Iterable[tuple[str, int, int]]) -> str:
+    """Render a sum of (num/den)*text terms, e.g. '1/2*XY - YX + 3'.
+
+    Each item is (text, num, den) with den > 0, written as given: callers
+    pass num/den in lowest terms.  A coefficient of 1 or -1 is left out, an
+    empty text renders the number alone, and the empty sum is '0'.
+    """
+    parts = []
+    for text, num, den in items:
+        mag = abs(num)
+        if mag == den == 1 and text:
+            body = text
+        else:
+            body = str(mag) if den == 1 else f"{mag}/{den}"
+            if text:
+                body = f"{body}*{text}"
+        parts.append(f"- {body}" if num < 0 else f"+ {body}")
+    if not parts:
+        return "0"
+    rendered = " ".join(parts)
+    return rendered[2:] if rendered[0] == "+" else "-" + rendered[2:]
+
+
 def format_poly(p: FreePoly) -> str:
     """Render a polynomial in canonical word order, e.g. '1/2*XY - 1/2*YX'."""
-    if p.is_zero():
-        return "0"
-    parts: list[tuple[str, str]] = []
-    for word, coeff in p.sorted_items():
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
-        if word.length == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = word_format(word)
-        else:
-            body = f"{mag}*{word_format(word)}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    rendered = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        rendered += f" {sign} {body}"
-    return rendered
+    return format_sum((word_format(w), c.numerator, c.denominator) for w, c in p.sorted_items())

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterable, Iterator
 
 import click
 
-from .algebra import Word, all_words, word_format, word_parse
+from .algebra import Word, all_words, format_sum, word_format, word_parse
 from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_sweep
 from .engine import (
     MAX_DEGREE,
@@ -85,17 +86,23 @@ def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
         else:
             lines = ["degree,word,num,den"]
             for term in series:
-                for w, c in term.sorted_items():
-                    lines.append(
-                        f"{term.degree},{word_format(w)},{c.numerator},{c.denominator}"
-                    )
+                lines += [f"{term.degree},{w},{num},{den}" for w, num, den in _coefficients(term)]
         click.echo("\n".join(lines))
     else:
         for term in series:
             if quiet:
                 click.echo(f"degree {term.degree}: {term.count} terms")
             else:
-                click.echo(f"degree {term.degree}: {term.body}")
+                click.echo(f"degree {term.degree}: {format_sum(_coefficients(term))}")
+
+
+def _coefficients(term: SeriesTerm) -> Iterator[tuple[str, int, int]]:
+    """(word text, num, den) in lowest terms for each non-zero coefficient, in bits order."""
+    n, (ints, den) = term.degree, term.to_dense()
+    for bits, c in enumerate(ints):
+        if c:
+            g = gcd(c, den)
+            yield word_format(Word(n, bits)), c // g, den // g
 
 
 def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> str:
@@ -107,9 +114,9 @@ def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> str:
     terms = []
     for term in series:
         words = [
-            f'        {{\n          "word": "{word_format(w)}",\n          "num": "{c.numerator}",'
-            f'\n          "den": "{c.denominator}"\n        }}'
-            for w, c in term.sorted_items()
+            f'        {{\n          "word": "{w}",\n          "num": "{num}",'
+            f'\n          "den": "{den}"\n        }}'
+            for w, num, den in _coefficients(term)
         ]
         listing = "[\n" + ",\n".join(words) + "\n      ]" if words else "[]"
         terms.append(f'    {{\n      "degree": {term.degree},\n      "words": {listing}\n    }}')
@@ -241,14 +248,14 @@ def _oracle_rows(max_n: int) -> Iterator[Row]:
 def _commutator_form_rows(max_n: int) -> Iterator[Row]:
     for verdict in check_forms(max_degree=max_n):
         form = verdict.form
-        is_lie = all(verdict.engine_content_is_lie.values())
         line = f"{_STATUS[verdict.ok]} {form.label}: claim {form.claim}"
         if verdict.matches:
             lines = [line + " matches the engine term"]
         else:
             line += " does NOT match the engine term"
             if not form.strict:
-                line += f" (report-only: engine form is {'a' if is_lie else 'NOT a'} Lie element)"
+                lie = "a" if verdict.engine_is_lie else "NOT a"
+                line += f" (report-only: engine form is {lie} Lie element)"
             lines = [
                 line,
                 f"  diff (claim minus engine): {verdict.diff}",
@@ -263,7 +270,7 @@ def _commutator_form_rows(max_n: int) -> Iterator[Row]:
             "matches": verdict.matches,
             "pass": verdict.ok,
             "diff": None if verdict.matches else str(verdict.diff),
-            "engine_form_is_lie": is_lie,
+            "engine_form_is_lie": verdict.engine_is_lie,
         }
         yield verdict.ok, lines, record
 

@@ -163,11 +163,6 @@ class SeriesTerm:
         """(ints, den): the 2^n coefficient numerators, indexed by Word.bits, over den."""
         return self._ints, self._den
 
-    def sorted_items(self) -> list[tuple[Word, Fraction]]:
-        """The non-zero (word, coefficient) pairs in canonical order."""
-        n, den = self.degree, self._den
-        return [(Word(n, bits), Fraction(c, den)) for bits, c in enumerate(self._ints) if c]
-
     @property
     def count(self) -> int:
         """The number of non-zero coefficients."""

@@ -4,7 +4,7 @@ Each entry records a commutator-form claim for one degree of one variant.
 Strict entries are expected to expand exactly to the engine's word form;
 report-only entries are known to be inconsistent with the engine output and
 are checked for information, with the engine word form itself required to
-pass the Lie-element content test.
+pass the Lie-element test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .algebra import FreePoly
 from .engine import preset, series_term
-from .lie import CommPoly, comm_parse, expand_comm_poly, lie_content_check
+from .lie import CommPoly, comm_parse, expand_comm_poly, is_lie_element
 
 
 class ClaimedForm(NamedTuple):
@@ -88,14 +88,14 @@ class FormVerdict(NamedTuple):
     claim_body: FreePoly
     matches: bool
     diff: FreePoly
-    engine_content_is_lie: dict[tuple[int, int], bool]
+    engine_is_lie: bool
 
     @property
     def ok(self) -> bool:
         """Strict entries must match; report-only entries need a Lie engine form."""
         if self.form.strict:
             return self.matches
-        return all(self.engine_content_is_lie.values())
+        return self.engine_is_lie
 
 
 def check_form(form: ClaimedForm) -> FormVerdict:
@@ -109,7 +109,7 @@ def check_form(form: ClaimedForm) -> FormVerdict:
         claim_body=claim_body,
         matches=claim_body == body,
         diff=claim_body - body,
-        engine_content_is_lie=lie_content_check(body),
+        engine_is_lie=is_lie_element(body),
     )
 
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Coeff, FreePoly, Letter, Word, X, Y, word_format, word_parse
+from .algebra import Coeff, FreePoly, Letter, Word, X, Y, format_sum, word_format, word_parse
 from .engine import PRESETS, series_term
 
 _ZERO = Fraction(0)
@@ -198,14 +198,6 @@ def is_lie_element(p: FreePoly) -> bool:
     return is_lie_vector(p.to_dense(degree)[0])
 
 
-def lie_content_check(p: FreePoly) -> dict[tuple[int, int], bool]:
-    """Run the Lie-element test separately on each fixed-letter-content piece."""
-    return {
-        content: is_lie_element(piece)
-        for content, piece in p.split_by_content().items()
-    }
-
-
 _COMM_TERM = re.compile(
     r"""
     \s*(?P<sign>[+-])?\s*
@@ -246,13 +238,6 @@ def comm_parse(text: str) -> CommPoly:
 
 def format_comm_poly(p: CommPoly) -> str:
     """Render in the comm_parse syntax, words in canonical order."""
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for word, coeff in p.sorted_items():
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
-        body = f"[{word_format(word)}]" if mag == 1 else f"{mag}*[{word_format(word)}]"
-        chunks.append(f"{sign} {body}")
-    rendered = " ".join(chunks)
-    return rendered[2:] if rendered.startswith("+ ") else "-" + rendered[2:]
+    return format_sum(
+        (f"[{word_format(w)}]", c.numerator, c.denominator) for w, c in p.sorted_items()
+    )

@@ -25,6 +25,7 @@ from bchseries import (
     word_format,
     word_parse,
 )
+from bchseries.algebra import format_sum
 from conftest import free_polys, small_fractions
 
 w = word_parse
@@ -239,18 +240,36 @@ class TestFreePoly:
         p = FreePoly.from_word(w("XY")) * FreePoly.from_word(w("YX"))
         assert p == FreePoly.from_word(w("XYYX"))
 
-    def test_split_by_content(self):
-        p = FreePoly({w("XY"): 1, w("YX"): 2, w("XX"): 3})
-        pieces = p.split_by_content()
-        assert set(pieces) == {(1, 1), (2, 0)}
-        assert pieces[(1, 1)] == FreePoly({w("XY"): 1, w("YX"): 2})
-
     def test_format(self):
         p = FreePoly({w("XY"): Fraction(1, 2), w("YX"): Fraction(-1, 2)})
         assert str(p) == "1/2*XY - 1/2*YX"
         assert str(FreePoly.zero()) == "0"
         assert str(FreePoly.one()) == "1"
         assert str(FreePoly.from_letter(X) + FreePoly.from_letter(Y)) == "X + Y"
+
+
+class TestFormatSum:
+    def test_empty_sum_is_zero(self):
+        assert format_sum([]) == "0"
+
+    def test_leading_minus(self):
+        assert format_sum([("XY", -1, 2), ("YX", 1, 2)]) == "-1/2*XY + 1/2*YX"
+        assert format_sum([("XY", 1, 2), ("YX", -1, 2)]) == "1/2*XY - 1/2*YX"
+
+    def test_unit_coefficient_is_left_out(self):
+        assert format_sum([("X", -1, 1), ("XY", 1, 1), ("YX", -1, 1)]) == "-X + XY - YX"
+
+    def test_integer_coefficient(self):
+        assert format_sum([("XY", 3, 1), ("Y", -3, 1)]) == "3*XY - 3*Y"
+
+    def test_empty_text_renders_the_number_alone(self):
+        assert format_sum([("", 1, 1)]) == "1"
+        assert format_sum([("", -1, 1), ("X", 1, 1)]) == "-1 + X"
+        assert format_sum([("", -3, 2), ("Y", 2, 3)]) == "-3/2 + 2/3*Y"
+
+    def test_bracketed_text(self):
+        # as lie.format_comm_poly passes it
+        assert format_sum([("[XY]", 1, 2), ("[YXY]", -1, 1)]) == "1/2*[XY] - [YXY]"
 
 
 class TestDense:

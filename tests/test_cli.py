@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from bchseries import engine
 from bchseries.algebra import FreePoly, word_parse
-from bchseries.cli import VERIFY_SUITES, main
+from bchseries.cli import VERIFY_SUITES, _coefficients, main
 from bchseries.engine import MAX_DEGREE, PRESET_NAMES, SeriesTerm, preset
 from bchseries.oracle import MAX_DP_LENGTH, goldberg_xy
 
@@ -88,13 +89,74 @@ class TestTerms:
                         "degree": term.degree,
                         "words": [
                             {"word": str(word), "num": str(c.numerator), "den": str(c.denominator)}
-                            for word, c in term.sorted_items()
+                            for word, c in term.body.sorted_items()
                         ],
                     }
                     for term in engine.series_terms(preset(variant), order)
                 ],
             }
             assert result.output == json.dumps(payload, indent=2) + "\n", order
+
+
+# (variant, format) -> (exit code, sha256 of stdout) of `terms --order 12`
+TERMS_BYTES = {
+    ("standard", "text"): (0, "3b972954e2001e2f4debe8c820cf11af4355c65ea16e23a1ce4c9ca77163df88"),
+    ("standard", "csv"): (0, "863f3535c1cbceb109ae3648fc33530edc4099786233f7649c0497da235b39c5"),
+    ("standard", "json"): (0, "45b5b050291dbc59164783b6323a4e11d9d9df4820e6c9aa683fd037647af557"),
+    ("symmetric", "text"): (0, "d770901d4d324daf7566001b908ded97179e7b544b1ee9584cb16f058e01a025"),
+    ("symmetric", "csv"): (0, "1cd03879dd9d63cc01ca0fc610fece9f4788f75dba0148adce6827f79fd3875f"),
+    ("symmetric", "json"): (0, "384ad5ed1bb57bcd010840e63ae90e100083024feae3168f9276a5864a092420"),
+    ("loop", "text"): (0, "8caac136dfc3a0c550bad9ee972f0915f38d59c8f2520796b46d104a15469b76"),
+    ("loop", "csv"): (0, "8cb185a7c7c62135cca656ba98d6f7bb74346e54480cd081bb71348a25b0541f"),
+    ("loop", "json"): (0, "f84912f9dfc1593c6fa6647a868fde367c1d45b023dfa20deccc2f359fc2806a"),
+    ("triangular", "text"): (0, "39fde1f23247059e891129ae9df041a8c470dce1772281f8c5587c95a9c238db"),
+    ("triangular", "csv"): (0, "bbf6628d5741e7e8b574670374256a9f5a5d977e8f593284bca673be213aed0e"),
+    ("triangular", "json"): (0, "7b43cddff6ee2749e4a870f2aa69055c1c46ac232d0e3b8e148a80f4acff2fea"),
+    ("sum_difference", "text"): (0, "777b482979c0104d8fa8565f0aeb4d94fee755f700d91e000e16570a92dadeae"),
+    ("sum_difference", "csv"): (0, "f473554ba7154559a230f5f0bb30daefc325404c7944a61af73b2465e8169f9d"),
+    ("sum_difference", "json"): (0, "f72079fc168e3ec54e00c5f4372eee633906b28d279bcebe1f16dd117d47cd24"),
+    ("highly_symmetrized", "text"): (0, "4839bd3fe6cae1c085894ebec3b50ace713e4d6cb42b216af1c7b461e5f4213f"),
+    ("highly_symmetrized", "csv"): (0, "c9733525436aef92f272ebe356534285d382389aa3f8ed5477e15d5b4f210101"),
+    ("highly_symmetrized", "json"): (0, "1a31b489ea23acd8cee273516dc9f9a073c38851bdb3e47fee80e4a89f8aecef"),
+    ("symmetric_sum_difference", "text"): (0, "f33d2fb70a847be44b77af2a7953bfe5f95bcd97f0e873741c35a324abc6a444"),
+    ("symmetric_sum_difference", "csv"): (0, "86c53f3959bf7665542c6fdd860f68c433c18e913863d585d3127f7e56f93059"),
+    ("symmetric_sum_difference", "json"): (0, "5dac48deb2317f40ede439a78b0c9384d243b148421b9d580354a82aac267a39"),
+    ("highly_symmetrized_sum_difference", "text"): (0, "b3684a645df973ae0fe5f7d323583c6ce3b510257a83d01dadfbd7f63bee4d96"),
+    ("highly_symmetrized_sum_difference", "csv"): (0, "aed23eeffadc1e4339b79ad8f6f9aaacb7ff20ba48109e53fb7b751cd699288a"),
+    ("highly_symmetrized_sum_difference", "json"): (0, "205422d3c8249a6ae4925610208eb132e82a1fbb08db03aa145d8024ef0e3a36"),
+}
+# format -> the same for `terms --order 12 --quiet` of the standard series
+QUIET_TERMS_BYTES = {
+    "text": (0, "17c6726a33e495f916e43045656055b2c52059b5be8a90410fc5c29f3a0c40f0"),
+    "csv": (0, "e88b6f3f75d5860a52f09bea81dd35cde4cea0688ea26a64ef5a033e872c9fa3"),
+    "json": (0, "c95c38c7fd80f29029119468785e2c576c6fdb271539b8539b366c0bd30b387e"),
+}
+
+
+def terms_bytes(*args: str) -> tuple[int, str]:
+    result = CliRunner().invoke(main, ["terms", "--order", "12", *args])
+    return result.exit_code, sha256(result.stdout_bytes).hexdigest()
+
+
+class TestTermsBytes:
+    @pytest.mark.parametrize("variant, fmt", sorted(TERMS_BYTES))
+    def test_every_preset_and_format(self, variant, fmt):
+        assert terms_bytes("--variant", variant, "--format", fmt) == TERMS_BYTES[variant, fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(QUIET_TERMS_BYTES))
+    def test_quiet(self, fmt):
+        assert terms_bytes("--format", fmt, "--quiet") == QUIET_TERMS_BYTES[fmt]
+
+    def test_every_preset_is_pinned(self):
+        assert {variant for variant, _ in TERMS_BYTES} == set(PRESET_NAMES)
+
+
+def test_coefficients_are_in_lowest_terms():
+    # the term's shared denominator is 6; each coefficient is reduced on its own
+    body = {"XY": Fraction(1, 2), "YX": Fraction(-1, 3), "YY": 2}
+    term = SeriesTerm(2, FreePoly({word_parse(text): c for text, c in body.items()}))
+    assert term.to_dense() == ((0, 3, -2, 12), 6)
+    assert list(_coefficients(term)) == [("XY", 1, 2), ("YX", -1, 3), ("Y^2", 2, 1)]
 
 
 class TestGoldberg:

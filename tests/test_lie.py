@@ -18,7 +18,6 @@ from bchseries import (
     expand_comm_poly,
     expand_nested,
     is_lie_element,
-    lie_content_check,
     preset,
     rewrite_identity_check,
     series_term,
@@ -300,6 +299,27 @@ class TestLieElement:
         with pytest.raises(ValueError):
             is_lie_element(FreePoly({w("X"): 1, w("XY"): 1}))
 
+    def test_one_test_equals_the_test_on_each_content_piece(self):
+        # bracketing only permutes the letters of a word, so it maps each
+        # fixed-content piece to itself: D(p) = n p iff it holds on every piece
+        rng = random.Random(2024)
+        lie_count = 0
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            words = list(all_words(n))
+            claim = CommPoly((u, rng.randint(-3, 3)) for u in rng.sample(words, rng.randint(1, 4)))
+            body = expand_comm_poly(claim)
+            if rng.random() < 0.5:
+                body = body + FreePoly.from_word(rng.choice(words), F(rng.randint(1, 4), 2))
+            pieces: dict[tuple[int, int], dict] = {}
+            for word, c in body.items():
+                pieces.setdefault((word.count_x, word.count_y), {})[word] = c
+            verdict = is_lie_element(body)
+            assert verdict == all(is_lie_element(FreePoly(piece)) for piece in pieces.values())
+            lie_count += verdict
+        # both outcomes occur often, so the comparison is not one-sided
+        assert 100 < lie_count < 300
+
     def test_content_check_on_engine_degree_three_terms(self):
         for name in (
             "sum_difference",
@@ -308,7 +328,7 @@ class TestLieElement:
             "highly_symmetrized_sum_difference",
         ):
             body = series_term(preset(name), 3)
-            assert all(lie_content_check(body).values()), name
+            assert is_lie_element(body), name
 
 
 class TestCommParse:
@@ -361,5 +381,5 @@ class TestFormsCatalog:
             verdict = check_form(form)
             assert not verdict.matches
             assert not verdict.diff.is_zero()
-            assert all(verdict.engine_content_is_lie.values())
+            assert verdict.engine_is_lie
             assert verdict.ok
