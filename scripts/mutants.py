@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Check that the tests can fail: each committed mutant must be caught.
+
+A row of MUTANTS is (file under src/bchseries, old text, new text, test ids).
+For each row the script copies src/ to a temporary directory, requires the
+old text to occur exactly once in the file, replaces it with the new text,
+and runs the named tests in a fresh pytest process with the copy first on
+the import path.  The tests must fail.
+
+Exit 1 names every mutant that survived (its tests passed) and every stale
+row (the old text does not occur exactly once, or pytest could not run the
+tests).  A new fast path or proved bound adds a row here.
+
+Usage: python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ENGINE = "tests/test_engine.py"
+ORACLE = "tests/test_oracle.py"
+
+MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
+    # _unpack: the struct pass without the top-byte check
+    (
+        "engine.py",
+        "data[size - 1 :: size] == sign.translate(_TOP) and ",
+        "",
+        (
+            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+        ),
+    ),
+    # _surjection_rows: S(n, k) instead of k! S(n, k)
+    (
+        "engine.py",
+        "k * (a + b)",
+        "a + k * b",
+        (
+            f"{ENGINE}::TestSlotWidth::test_surjection_rows_match_inclusion_exclusion",
+            f"{ENGINE}::TestSlotWidth::test_the_path_sum_bound_is_reached",
+        ),
+    ),
+    # _slot_width: the path-sum bound without C^n
+    (
+        "engine.py",
+        "total * bound**n",
+        "total",
+        (
+            f"{ENGINE}::TestSlotWidth::test_the_path_sum_bound_is_reached",
+            f"{ENGINE}::TestHornerLogAgainstWordRoute::test_presets_at_degrees_10_to_14",
+        ),
+    ),
+    # _factor_mul: the Y half shifted by one prefix level too many
+    (
+        "engine.py",
+        "width << (t - 1)",
+        "width << t",
+        (
+            f"{ENGINE}::TestGoldenTerms::test_standard_degree_five",
+            "tests/test_census.py::TestCensus::test_degree_eight",
+        ),
+    ),
+    # SeriesTerm.__eq__ on the raw ints, whose denominator depends on N
+    (
+        "engine.py",
+        "return self._reduced() == other._reduced()",
+        "return (self.degree, self._ints, self._den) == (other.degree, other._ints, other._den)",
+        (
+            f"{ENGINE}::TestSeriesTerm::test_body_built_term_equals_the_engine_term",
+            f"{ENGINE}::TestTruncation::test_lower_degrees_are_a_prefix_of_a_longer_run",
+        ),
+    ),
+    # property_sweep from degree 3
+    (
+        "census.py",
+        'series_terms(PRESETS["standard"], max_n)[1:]',
+        'series_terms(PRESETS["standard"], max_n)[2:]',
+        (
+            "tests/test_census.py::TestPropertySuite::test_sweep_matches_the_suite_from_one_series_run",
+            "tests/test_cli.py::TestVerify::test_properties_json",
+        ),
+    ),
+    # goldberg_value without the k < K guard
+    (
+        "oracle.py",
+        "if k < k_min:",
+        "if False:",
+        (f"{ORACLE}::TestGoldbergDirect::test_block_count_guard_fails_on_a_low_filling",),
+    ),
+    # goldberg_value with slots too narrow for the block sums
+    (
+        "oracle.py",
+        "width = (factorial(n) << n).bit_length() + 1",
+        "width = factorial(n).bit_length() + 1",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+            f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_at_the_cap",
+        ),
+    ),
+    # _merge keeping a word whose sum is zero
+    (
+        "algebra.py",
+        "                del out[word]",
+        "                out[word] = total",
+        (
+            "tests/test_algebra.py::TestFreePoly::test_zero_terms_dropped",
+            "tests/test_algebra.py::TestFreePoly::test_cancelling_words_dropped",
+            "tests/test_lie.py::TestCommParse::test_merges_repeated_words",
+        ),
+    ),
+)
+
+
+def run_row(file: str, old: str, new: str, tests: tuple[str, ...]) -> str:
+    """'killed', 'SURVIVED' or 'STALE: <reason>' for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "bchseries" / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"STALE: the old text occurs {text.count(old)} times"
+        path.write_text(text.replace(old, new))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    if result.returncode == 0:
+        return "SURVIVED"
+    if result.returncode == 1:
+        return "killed"
+    return f"STALE: pytest exit {result.returncode}"
+
+
+def main() -> int:
+    bad = 0
+    for file, old, new, tests in MUTANTS:
+        outcome = run_row(file, old, new, tests)
+        bad += outcome != "killed"
+        print(f"{outcome}: {file}: {old.strip()!r} -> {new.strip()!r}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

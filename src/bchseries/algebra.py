@@ -2,9 +2,10 @@
 
 Words are bit-packed (X=0, Y=1, first letter in the most significant bit) so
 that for a fixed length the integer order of the packed bits is exactly the
-lexicographic order with X < Y, and concatenation is a shift-or.  A FreePoly
-is a finite sum of words with non-zero Fraction coefficients; multiplication
-concatenates words.  Everything here is immutable and exact.
+lexicographic order with X < Y, and concatenation is a shift-or.  A WordSum
+is a finite sum of words with non-zero Fraction coefficients, merged by one
+rule; a FreePoly is a WordSum whose multiplication concatenates words.
+Everything here is immutable and exact.
 """
 
 from __future__ import annotations
@@ -199,37 +200,85 @@ def all_words(n: int) -> Iterator[Word]:
         yield Word(n, bits)
 
 
-class FreePoly:
-    """A finite formal sum of words with non-zero rational coefficients.
+def _merge(
+    out: dict[Word, Fraction], pairs: Iterable[tuple[Word, Fraction]]
+) -> dict[Word, Fraction]:
+    """Add each non-zero (word, coeff) pair into out, deleting a word whose sum is zero.
 
-    Supports + and - between polynomials, * for both scalar multiplication and
-    the (noncommutative) concatenation product of polynomials.
+    The one merge rule of a word sum: every constructor and operator that
+    adds coefficients goes through it, and new words keep their first
+    insertion order.
+    """
+    get = out.get
+    for word, coeff in pairs:
+        prev = get(word)
+        if prev is None:
+            out[word] = coeff
+        else:
+            total = prev + coeff
+            if total:
+                out[word] = total
+            else:
+                del out[word]
+    return out
+
+
+class WordSum:
+    """A finite sum of words with non-zero Fraction coefficients.
+
+    The storage shared by FreePoly and lie.CommPoly.  Equality is term by
+    term and only between sums of the same type, so a FreePoly never equals
+    a CommPoly.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Word, Coeff] | Iterable[tuple[Word, Coeff]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out: dict[Word, Fraction] = {}
-        for word, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                prev = out.get(word)
-                if prev is None:
-                    out[word] = coeff
-                else:
-                    total = prev + coeff
-                    if total:
-                        out[word] = total
-                    else:
-                        del out[word]
-        self._terms = out
+        self._terms = _merge({}, ((w, c) for w, coeff in items if (c := Fraction(coeff))))
 
     @classmethod
-    def _raw(cls, terms: dict[Word, Fraction]) -> "FreePoly":
+    def _raw(cls, terms: dict[Word, Fraction]):
+        """Wrap a dict of non-zero coefficients without copying or checking it."""
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
+
+    def coeff(self, w: Word) -> Fraction:
+        return self._terms.get(w, _ZERO)
+
+    def items(self) -> Iterator[tuple[Word, Fraction]]:
+        return iter(self._terms.items())
+
+    def sorted_items(self) -> list[tuple[Word, Fraction]]:
+        return sorted(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class FreePoly(WordSum):
+    """A word sum in the free algebra.
+
+    Supports + and - between polynomials, * for both scalar multiplication and
+    the (noncommutative) concatenation product of polynomials.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_dense(cls, n: int, ints: Sequence[int], den: int) -> "FreePoly":
@@ -267,34 +316,8 @@ class FreePoly:
     def from_letter(cls, letter: Letter) -> "FreePoly":
         return cls._raw({Word(1, int(letter)): _ONE})
 
-    def coeff(self, w: Word) -> Fraction:
-        return self._terms.get(w, _ZERO)
-
-    def items(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self._terms.items())
-
-    def sorted_items(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self._terms.items())
-
     def words(self) -> Iterator[Word]:
         return iter(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FreePoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "FreePoly") -> "FreePoly":
         if not isinstance(other, FreePoly):
@@ -303,34 +326,12 @@ class FreePoly:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            if prev is None:
-                out[word] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    out[word] = total
-                else:
-                    del out[word]
-        return FreePoly._raw(out)
+        return FreePoly._raw(_merge(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         if not isinstance(other, FreePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            prev = out.get(word)
-            if prev is None:
-                out[word] = -coeff
-            else:
-                total = prev - coeff
-                if total:
-                    out[word] = total
-                else:
-                    del out[word]
-        return FreePoly._raw(out)
+        return FreePoly._raw(_merge(dict(self._terms), (-other)._terms.items()))
 
     def __neg__(self) -> "FreePoly":
         return FreePoly._raw({w: -c for w, c in self._terms.items()})
@@ -345,22 +346,13 @@ class FreePoly:
         if isinstance(other, FreePoly):
             if not self._terms or not other._terms:
                 return _ZERO_POLY
-            out: dict[Word, Fraction] = {}
-            get = out.get
-            for (l1, b1), c1 in self._terms.items():
-                for (l2, b2), c2 in other._terms.items():
-                    word = Word(l1 + l2, (b1 << l2) | b2)
-                    coeff = c1 * c2
-                    prev = get(word)
-                    if prev is None:
-                        out[word] = coeff
-                    else:
-                        total = prev + coeff
-                        if total:
-                            out[word] = total
-                        else:
-                            del out[word]
-            return FreePoly._raw(out)
+            right = other._terms.items()
+            products = (
+                (Word(l1 + l2, (b1 << l2) | b2), c1 * c2)
+                for (l1, b1), c1 in self._terms.items()
+                for (l2, b2), c2 in right
+            )
+            return FreePoly._raw(_merge({}, products))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -388,9 +380,6 @@ class FreePoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"FreePoly({format_poly(self)})"
 
 
 _ZERO_POLY = FreePoly._raw({})

@@ -79,15 +79,15 @@ def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
         entries = [{"degree": term.degree, "count": term.count} for term in series]
         click.echo(json.dumps({"variant": variant, "terms": entries}, indent=2))
     elif fmt == "json":
-        click.echo(_terms_json(variant, series))
+        for chunk in _terms_json(variant, series):
+            click.echo(chunk, nl=False)
     elif fmt == "csv":
-        if quiet:
-            lines = ["degree,count"] + [f"{t.degree},{t.count}" for t in series]
-        else:
-            lines = ["degree,word,num,den"]
-            for term in series:
-                lines += [f"{term.degree},{w},{num},{den}" for w, num, den in _coefficients(term)]
-        click.echo("\n".join(lines))
+        click.echo("degree,count" if quiet else "degree,word,num,den")
+        for term in series:
+            if quiet:
+                click.echo(f"{term.degree},{term.count}")
+            elif lines := [f"{term.degree},{w},{n},{d}" for w, n, d in _coefficients(term)]:
+                click.echo("\n".join(lines))
     else:
         for term in series:
             if quiet:
@@ -105,22 +105,27 @@ def _coefficients(term: SeriesTerm) -> Iterator[tuple[str, int, int]]:
             yield word_format(Word(n, bits)), c // g, den // g
 
 
-def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> str:
-    """json.dumps({"variant": ..., "terms": [...]}, indent=2), rendered directly.
+def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> Iterator[str]:
+    """json.dumps({"variant": ..., "terms": [...]}, indent=2) + newline, one degree at a time.
 
     The standard library's indented encoder is pure Python.  Every string in
     this schema is a preset name, a word or an integer, so none needs escaping.
     """
-    terms = []
+    prefix = f'{{\n  "variant": "{variant}",\n  "terms": [\n'
     for term in series:
         words = [
             f'        {{\n          "word": "{w}",\n          "num": "{num}",'
             f'\n          "den": "{den}"\n        }}'
             for w, num, den in _coefficients(term)
         ]
-        listing = "[\n" + ",\n".join(words) + "\n      ]" if words else "[]"
-        terms.append(f'    {{\n      "degree": {term.degree},\n      "words": {listing}\n    }}')
-    return f'{{\n  "variant": "{variant}",\n  "terms": [\n' + ",\n".join(terms) + "\n  ]\n}"
+        head = f'{prefix}    {{\n      "degree": {term.degree},\n      "words": '
+        # the joined words go out as they are, not copied into the entry text
+        if words:
+            yield from (head + "[\n", ",\n".join(words), "\n      ]\n    }")
+        else:
+            yield head + "[]\n    }"
+        prefix = ",\n"
+    yield "\n  ]\n}\n"
 
 
 @main.command()

@@ -20,61 +20,38 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Coeff, FreePoly, Letter, Word, X, Y, format_sum, word_format, word_parse
+from .algebra import (
+    Coeff,
+    FreePoly,
+    Letter,
+    Word,
+    WordSum,
+    X,
+    Y,
+    format_sum,
+    word_format,
+    word_parse,
+)
 from .engine import PRESETS, series_term
 
-_ZERO = Fraction(0)
 
+class CommPoly(WordSum):
+    """A linear combination sum c_w [w] of right-nested commutators.
 
-class CommPoly:
-    """A linear combination sum c_w [w] of right-nested commutators."""
+    Equality is term by term; equality as Lie elements is decided by
+    expand_comm_poly.
+    """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Word, Coeff] | Iterable[tuple[Word, Coeff]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        out: dict[Word, Fraction] = {}
-        for word, coeff in items:
-            if word.length < 1:
-                raise ValueError("commutator words must have length >= 1")
-            coeff = Fraction(coeff)
-            if coeff:
-                total = out.get(word, _ZERO) + coeff
-                if total:
-                    out[word] = total
-                else:
-                    del out[word]
-        self._terms = out
-
-    def coeff(self, w: Word) -> Fraction:
-        return self._terms.get(w, _ZERO)
-
-    def items(self):
-        return iter(self._terms.items())
-
-    def sorted_items(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        # term-by-term equality; equality as Lie elements is decided by expand_comm_poly
-        if isinstance(other, CommPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        if any(word.length < 1 for word, _ in items):
+            raise ValueError("commutator words must have length >= 1")
+        super().__init__(items)
 
     def __str__(self) -> str:
         return format_comm_poly(self)
-
-    def __repr__(self) -> str:
-        return f"CommPoly({format_comm_poly(self)})"
 
 
 def expand_nested(w: Word) -> FreePoly:

@@ -230,6 +230,20 @@ class TestFreePoly:
         assert len(p) == 0
         assert FreePoly({w("X"): 0}).is_zero()
 
+    def test_cancelling_words_dropped(self):
+        p = FreePoly({w("XY"): 1, w("YX"): 2}) - FreePoly({w("XY"): 1})
+        assert p == FreePoly({w("YX"): 2})
+        assert len(p) == 1
+        x, y = FreePoly.from_letter(X), FreePoly.from_letter(Y)
+        square = FreePoly({w("XX"): 1, w("XY"): 1, w("YX"): 1, w("YY"): 1})
+        assert ((x + y) * (x + y) - square).is_zero()
+
+    def test_equal_sums_hash_equal(self):
+        p = FreePoly({w("XY"): 1, w("YX"): Fraction(-1, 2)})
+        q = FreePoly([(w("YX"), Fraction(-2, 4)), (w("XY"), 3), (w("XY"), -2), (w("X"), 0)])
+        assert p == q
+        assert hash(p) == hash(q)
+
     def test_scale(self):
         p = FreePoly({w("XY"): Fraction(1, 2)})
         assert p.scale(2) == FreePoly({w("XY"): 1})
@@ -243,6 +257,7 @@ class TestFreePoly:
     def test_format(self):
         p = FreePoly({w("XY"): Fraction(1, 2), w("YX"): Fraction(-1, 2)})
         assert str(p) == "1/2*XY - 1/2*YX"
+        assert repr(p) == "FreePoly(1/2*XY - 1/2*YX)"
         assert str(FreePoly.zero()) == "0"
         assert str(FreePoly.one()) == "1"
         assert str(FreePoly.from_letter(X) + FreePoly.from_letter(Y)) == "X + Y"

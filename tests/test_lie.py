@@ -88,6 +88,25 @@ class TestExpandCommPoly:
     def test_rejects_empty_words(self):
         with pytest.raises(ValueError):
             CommPoly({w(""): 1})
+        # the check reads the inputs, before a zero coefficient is dropped
+        with pytest.raises(ValueError):
+            CommPoly({w(""): 0})
+
+
+class TestCommPolySum:
+    def test_differs_from_the_free_poly_with_the_same_terms(self):
+        terms = {w("XY"): F(1, 2), w("YXY"): -1}
+        assert CommPoly(terms) != FreePoly(terms)
+        assert FreePoly(terms) != CommPoly(terms)
+
+    def test_equal_sums_hash_equal(self):
+        p = CommPoly({w("XY"): F(1, 2), w("YXY"): -1})
+        q = CommPoly([(w("YXY"), -1), (w("XY"), 1), (w("XY"), F(-1, 2)), (w("X"), 0)])
+        assert p == q
+        assert hash(p) == hash(q)
+
+    def test_repr(self):
+        assert repr(CommPoly({w("XY"): F(1, 2)})) == "CommPoly(1/2*[XY])"
 
 
 class TestRewriteIdentity:

@@ -1,7 +1,8 @@
-"""The report scripts reject bad arguments with a usage error before any work."""
+"""The scripts: bad arguments are usage errors, and every mutant row applies."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,3 +49,13 @@ def test_smallest_degrees_still_run():
     result = run_script("census_tables.py", "--max", "2", "--variants", "loop")
     assert result.returncode == 0
     assert result.stdout.startswith("n,count,bound")
+
+
+def test_every_mutant_row_applies_to_the_source_once():
+    # the rows themselves run in scripts/mutants.py, one pytest process each
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for file, old, new, tests in mutants.MUTANTS:
+        assert (ROOT / "src" / "bchseries" / file).read_text().count(old) == 1, (file, old)
+        assert old != new and tests
