@@ -39,6 +39,36 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
         ),
     ),
+    # _unpack: the struct pass reading each low 8 bytes unsigned
+    (
+        "engine.py",
+        'f"q{size - 8}x"',
+        'f"Q{size - 8}x"',
+        (
+            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestUnpack::test_parts_within_64_bits_take_the_struct_pass",
+        ),
+    ),
+    # _unpack: the sign read from byte 8 instead of the top bit of byte 7
+    (
+        "engine.py",
+        "data[7::size].translate(_SIGN)",
+        "data[8::size].translate(_SIGN)",
+        (
+            f"{ENGINE}::TestUnpack::test_parts_within_64_bits_take_the_struct_pass",
+            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+        ),
+    ),
+    # _unpack: the slot-by-slot read without the offset 2^(width-1)
+    (
+        "engine.py",
+        'int.from_bytes(s, "little") - half',
+        'int.from_bytes(s, "little")',
+        (
+            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+        ),
+    ),
     # _surjection_rows: S(n, k) instead of k! S(n, k)
     (
         "engine.py",
@@ -89,21 +119,24 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_cli.py::TestVerify::test_properties_json",
         ),
     ),
-    # goldberg_value without the k < K guard
+    # goldberg_value with slots sized without the 2^(a+b) of the boundaries
     (
         "oracle.py",
-        "if k < k_min:",
-        "if False:",
-        (f"{ORACLE}::TestGoldbergDirect::test_block_count_guard_fails_on_a_low_filling",),
-    ),
-    # goldberg_value with slots too narrow for the block sums
-    (
-        "oracle.py",
-        "width = (factorial(n) << n).bit_length() + 1",
-        "width = factorial(n).bit_length() + 1",
+        "bound = 1 << (len(runs) - 1)",
+        "bound = 1",
         (
             f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
             f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_at_the_cap",
+        ),
+    ),
+    # goldberg_value with t for a Y->X boundary and t - 1 for an X->Y one
+    (
+        "oracle.py",
+        "acc = (acc << width) - acc if letter == X else acc << width",
+        "acc = (acc << width) - acc if letter == Y else acc << width",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_degree_two",
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
         ),
     ),
     # _merge keeping a word whose sum is zero

@@ -201,21 +201,22 @@ def all_words(n: int) -> Iterator[Word]:
 
 
 def _merge(
-    out: dict[Word, Fraction], pairs: Iterable[tuple[Word, Fraction]]
+    out: dict[Word, Fraction], pairs: Iterable[tuple[Word, Fraction]], subtract: bool = False
 ) -> dict[Word, Fraction]:
     """Add each non-zero (word, coeff) pair into out, deleting a word whose sum is zero.
 
     The one merge rule of a word sum: every constructor and operator that
     adds coefficients goes through it, and new words keep their first
-    insertion order.
+    insertion order.  With subtract, each coeff is subtracted instead, so a
+    difference builds no negated copy of its right operand.
     """
     get = out.get
     for word, coeff in pairs:
         prev = get(word)
         if prev is None:
-            out[word] = coeff
+            out[word] = -coeff if subtract else coeff
         else:
-            total = prev + coeff
+            total = prev - coeff if subtract else prev + coeff
             if total:
                 out[word] = total
             else:
@@ -331,7 +332,7 @@ class FreePoly(WordSum):
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         if not isinstance(other, FreePoly):
             return NotImplemented
-        return FreePoly._raw(_merge(dict(self._terms), (-other)._terms.items()))
+        return FreePoly._raw(_merge(dict(self._terms), other._terms.items(), subtract=True))
 
     def __neg__(self) -> "FreePoly":
         return FreePoly._raw({w: -c for w, c in self._terms.items()})

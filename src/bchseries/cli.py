@@ -137,7 +137,7 @@ def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> Iterator[str]:
     default="engine",
     show_default=True,
     help=(
-        "Compute from the word's Reinsch matrices, from the direct block sum"
+        "Compute from the word's Reinsch matrices, from Goldberg's integral"
         f" (standard only), or both; words up to {MAX_DP_LENGTH} letters."
     ),
 )
@@ -145,7 +145,7 @@ def goldberg(word_text: str, variant: str, mode: str) -> None:
     """Print the coefficient of one word in a variant's series."""
     if mode != "engine" and variant != "standard":
         raise click.UsageError(
-            f"--mode {mode} needs --variant standard: the block-sum DP is standard-only"
+            f"--mode {mode} needs --variant standard: Goldberg's integral is standard-only"
         )
     try:
         w = word_parse(word_text, max_length=MAX_DP_LENGTH)
@@ -232,7 +232,7 @@ def _dynkin_rows(max_n: int) -> Iterator[Row]:
 
 
 def _oracle_rows(max_n: int) -> Iterator[Row]:
-    # three routes per word: the graded term, the word's Reinsch matrices, the block-sum DP
+    # three routes per word: the graded term, the word's Reinsch matrices, Goldberg's integral
     standard = preset("standard")
     for term in series_terms(standard, max_n):
         n, (ints, den) = term.degree, term.to_dense()

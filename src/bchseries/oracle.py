@@ -1,26 +1,25 @@
-"""Direct computation of word coefficients from the explicit block-sum formula.
+"""Word coefficients of the standard-product series by routes outside the engine.
 
-For a word w of length n the coefficient is
+For a word w whose maximal runs have lengths s_1..s_m, Goldberg's theorem
+(K. Goldberg, Duke Math. J. 23 (1956) 13-21) gives the coefficient of w in
+log(exp(X) exp(Y)) as
+
+    g(w) = int_0^1 t^a (t - 1)^b G_(s_1)(t) ... G_(s_m)(t) dt,
+
+where G_1 = 1, s G_s = d/dt [t(t - 1) G_(s-1)], and a and b count w's X->Y
+and Y->X boundaries; so g(w) depends only on w's first letter and the
+multiset of its run lengths.  goldberg_value evaluates it in exact integers.
+The second route is the explicit block sum
 
     g(w) = sum_{k=K}^{n} (-1)^(k-1)/k *
            sum over block sequences (r_1,s_1),...,(r_k,s_k) with r_i+s_i > 0
            whose literal expansion X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} equals w
            of 1/(r_1! s_1! ... r_k! s_k!),
 
-where K is the number of blocks in w's own X-first block normal form, which
-block_normal_form reads off the word's maximal runs (Word.runs()).  Two
-independent enumeration routes are provided: a dynamic program over letter
-positions (the workhorse) and a brute-force filter over all block sequences
-(feasible for short words, used to validate the dynamic program).
-
-The dynamic program makes one pass over the positions on Python ints.  Its
-state at position v is scaled by v!, so a block X^r Y^s running from u to v
-weighs the integer v!/(u! r! s!) relative to the state at u.  The block count
-k is packed into the integer: slot k of the state (a fixed number of bits,
-wide enough that no slot carries into the next; goldberg_value proves the
-bound) holds the k-block sum.  The slots of the final state are weighted by
-(-1)^(k-1) M/k with M = lcm(1..n), and one Fraction with denominator M * n!
-is built at the end.
+where K is the number of blocks in w's own X-first block normal form
+(block_normal_form).  goldberg_direct_naive enumerates every block sequence
+and filters by collapse, for short words; goldberg_xy is the Bernoulli
+closed form for X^a Y^b.
 """
 
 from __future__ import annotations
@@ -38,14 +37,13 @@ _ONE = Fraction(1)
 Block = tuple[int, int]
 
 # The longest word the command-line interface sends to goldberg_direct or to
-# engine.word_coefficient, in every goldberg mode.  The dynamic program takes
-# one multiply-add per block, at most n(n+1)/2, each on a packed state of up
-# to n slots of about log2(n! 2^n) bits; X^128 and X^127Y, which have the
-# most blocks of any word of that length, took 0.05-0.08 s each on a 2-vCPU
-# Xeon VM (Python 3.11).  word_coefficient takes at most one multiply-add per
-# factor and pair of positions; on the same VM X^128 and X^127Y took
-# 0.07-0.09 s for the standard product and 0.3-0.36 s for
-# symmetric_sum_difference, the slowest preset.
+# engine.word_coefficient, in every goldberg mode.  Goldberg's integral builds
+# H_2..H_s for the longest run s and multiplies at most n packed polynomials
+# of at most n slots; X^128 and X^127Y took 3-7 ms each on a 2-vCPU Xeon VM
+# (Python 3.11).  word_coefficient takes at most one multiply-add per factor
+# and pair of positions; on the same VM X^128 and X^127Y took 0.09-0.11 s for
+# the standard product and 0.33-0.45 s for symmetric_sum_difference, the
+# slowest preset.
 MAX_DP_LENGTH = 128
 
 
@@ -114,68 +112,69 @@ def block_count(w: Word) -> int:
 
 
 def goldberg_value(w: Word) -> GoldbergValue:
-    """The coefficient of w computed from the explicit block sum, plus K.
+    """The coefficient of w from Goldberg's integral, plus K.
 
-    One pass over the end positions v = 1..n.  The blocks ending at v are
-    the non-empty X^r Y^s equal to w[u:v]; they start at every u of w[:v]'s
-    longest X*Y* suffix, and each has the integer weight v!/(u! r! s!).
-    state[v] is the sum of weight * state[u] over them, shifted left by one
-    slot of `width` bits, so that slot k of state[v] holds v! times the sum
-    over the k-block fillings of w[:v] of 1/(r_1! s_1! ... r_k! s_k!).
+    With H_s = s! G_s, so that H_1 = 1 and H_s = d/dt [t(t - 1) H_(s-1)] has
+    degree s - 1, it is int_0^1 t^a (t - 1)^b prod_i H_(s_i)(t) dt / prod_i s_i!.
+    Each polynomial is packed with the coefficient of t^j in slot j of
+    `width` signed bits, so t is a shift by one slot, t - 1 that shift minus
+    the value, and a run is one integer product, taken in word order.  The
+    product P has degree n - 1, and int_0^1 P = sum_j (M/(j + 1)) P_j / M
+    with M = lcm(1..n): one Fraction is built at the end.
 
-    The slots never carry.  Let S_v be the sum of the slot values of
-    state[v].  All terms are non-negative, at most one block spans each pair
-    u < v, and a block weighs 1/(r! s!) <= 1 before scaling, so
-    S_v/v! <= sum_{u<v} S_u/u! with S_0 = 1.  Hence S_v <= v! * 2^(v-1)
-    < n! * 2^n for 1 <= v <= n, and every slot, at most S_v, fits in
-    width = (n! << n).bit_length() + 1 bits.
+    The slots never carry.  Each coefficient of P is at most its l1 norm,
+    and the l1 norm is submultiplicative with ||t|| = 1 and ||t - 1|| = 2,
+    so every coefficient is at most 2^(a+b) ||H_(s_1)|| ... ||H_(s_m)|| in
+    absolute value.  Packing evaluates a polynomial at 2^width, a ring map,
+    so the packed product is exact whatever the slots hold on the way and
+    only the final slots must fit: width = that bound's bit length + 1
+    leaves them below 2^(width-1).
     """
     n = w.length
     if n < 1:
         raise ValueError("the coefficient of the empty word is undefined")
-    k_min = block_count(w)
-    width = (factorial(n) << n).bit_length() + 1
-    state = [1]
-    # xrun, yrun: w[:v] ends in X^xrun Y^yrun, with xrun maximal
-    xrun = yrun = 0
-    for v, letter in enumerate(w.letters(), 1):
-        if letter == X:
-            if yrun:
-                xrun = yrun = 0
-            xrun += 1
-        else:
-            yrun += 1
-        # the trailing Y-run starts at ys; a block X^(ys-u) Y^yrun from
-        # u < ys weighs comb(v, yrun) * comb(ys, u), and a block Y^(v-u)
-        # from u >= ys weighs comb(v, u)
-        ys = v - yrun
-        acc = 0
-        for u in range(ys - xrun, ys):
-            acc += comb(ys, u) * state[u]
-        if yrun:
-            acc *= comb(v, yrun)
-            for u in range(ys, v):
-                acc += comb(v, u) * state[u]
-        state.append(acc << width)
+    runs = w.runs()
+    # the coefficient of t^j in H_s is (j + 1) (H_(s-1)[j - 1] - H_(s-1)[j])
+    polys, norms = [[1]], [1]
+    for _ in range(1, max(s for _, s in runs)):
+        h = polys[-1]
+        h = [i * (p - q) for i, p, q in zip(range(1, len(h) + 2), [0] + h, h + [0])]
+        polys.append(h)
+        norms.append(sum(map(abs, h)))
+    bound = 1 << (len(runs) - 1)
+    den = 1
+    for _, s in runs:
+        if s > 1:
+            bound *= norms[s - 1]
+            den *= factorial(s)
+    width = bound.bit_length() + 1
+    packed = [0] * len(polys)
+    for s in {s for _, s in runs}:
+        for c in reversed(polys[s - 1]):
+            packed[s - 1] = (packed[s - 1] << width) + c
+    acc = packed[runs[0][1] - 1]
+    for letter, s in runs[1:]:
+        # the boundary into this run: X->Y multiplies by t, Y->X by t - 1
+        acc = (acc << width) - acc if letter == X else acc << width
+        if s > 1:
+            acc *= packed[s - 1]
 
     m = lcm(*range(1, n + 1))
-    mask = (1 << width) - 1
+    mask, half = (1 << width) - 1, 1 << (width - 1)
     total = 0
-    packed = state[n]
-    for k in range(1, n + 1):
-        packed >>= width
-        count = packed & mask
-        if count:
-            if k < k_min:
-                raise AssertionError(
-                    f"block filling with k={k} < K={k_min} for word {w}"
-                )
-            total += (-1) ** (k - 1) * (m // k) * count
-    return GoldbergValue(w, Fraction(total, m * factorial(n)), k_min)
+    for j in range(1, n + 1):
+        slot = acc & mask
+        if slot >= half:
+            slot -= 1 << width
+        acc = (acc - slot) >> width
+        total += m // j * slot
+    # K: one block per X-run, and one more for a leading Y-run
+    k = (len(runs) + 1 + (runs[0][0] == Y)) // 2
+    return GoldbergValue(w, Fraction(total, m * den), k)
 
 
 def goldberg_direct(w: Word) -> Fraction:
-    """The coefficient of w in the standard-product series, from the block sum."""
+    """The coefficient of w in the standard-product series, from Goldberg's integral."""
     return goldberg_value(w).value
 
 

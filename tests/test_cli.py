@@ -188,7 +188,7 @@ class TestGoldberg:
         assert result.exit_code == 2
 
     def test_engine_word_above_cap_is_usage_error(self):
-        # every mode shares the DP's cap
+        # every mode shares the oracle's cap
         for mode in ("engine", "both"):
             result = run("goldberg", "--word", f"X^{MAX_DP_LENGTH}Y", "--mode", mode)
             assert result.exit_code == 2
@@ -231,7 +231,7 @@ class TestGoldberg:
         for mode in ("oracle", "both"):
             result = run("goldberg", "--word", "X^4Y", "--variant", "loop", "--mode", mode)
             assert result.exit_code == 2
-            assert "the block-sum DP is standard-only" in result.output
+            assert "Goldberg's integral is standard-only" in result.output
         result = run("goldberg", "--word", "X^4Y", "--variant", "standard", "--mode", "both")
         assert result.exit_code == 0
 

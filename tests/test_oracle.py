@@ -1,4 +1,4 @@
-"""The explicit block-sum route to word coefficients, and Bernoulli numbers."""
+"""Goldberg's integral and the block sum for word coefficients, and Bernoulli numbers."""
 
 from __future__ import annotations
 
@@ -88,11 +88,12 @@ class TestBlockNormalForm:
 
 
 def _block_sum_reference(word):
-    """goldberg_value by a loop over the block count k and the positions u.
+    """goldberg_value from the explicit block sum, by a loop over k and the positions u.
 
     state[u] is u! times the sum over the fillings of word[:u] by k blocks;
     each round places one more block, as an X^r step and then a Y^s step,
-    and drops the empty (0, 0) block.
+    and drops the empty (0, 0) block.  No filling has fewer than K blocks,
+    K being oracle.block_count of the word's normal form.
     """
     n = word.length
     letters = tuple(word.letters())
@@ -104,7 +105,7 @@ def _block_sum_reference(word):
             xrun[u] = xrun[u + 1] + 1
         else:
             yrun[u] = yrun[u + 1] + 1
-    k_min = block_count(word)
+    k_min = oracle.block_count(word)
     m = lcm(*range(1, n + 1))
     total = 0
     state = [0] * (n + 1)
@@ -124,7 +125,7 @@ def _block_sum_reference(word):
             nxt[u] -= state[u]
         state = nxt
         if state[n]:
-            assert k >= k_min, word
+            assert k >= k_min, f"block filling with k={k} < K={k_min} for word {word}"
             total += (-1) ** (k - 1) * (m // k) * state[n]
     return oracle.GoldbergValue(word, F(total, m * factorial(n)), k_min)
 
@@ -156,7 +157,7 @@ class TestGoldbergDirect:
         assert value.value == 0
 
     def test_direct_matches_naive_exhaustively(self):
-        # the filter-based enumeration is the oracle for the dynamic program
+        # the filter-based enumeration is the oracle for Goldberg's integral
         for n in range(1, 7):
             for word in all_words(n):
                 assert goldberg_direct(word) == goldberg_direct_naive(word), word
@@ -165,6 +166,29 @@ class TestGoldbergDirect:
         for n in range(1, 11):
             for word in all_words(n):
                 assert goldberg_direct(word) == engine_coefficient(word), word
+
+    def test_direct_matches_engine_on_seeded_words(self):
+        rng = random.Random(1164)
+        for n in range(11, 65):
+            word = Word(n, rng.getrandbits(n))
+            assert goldberg_direct(word) == engine_coefficient(word), word
+
+    @pytest.mark.parametrize("n", [21, 27, 32, 40, 48, 55, 64])
+    def test_permuted_runs_keep_the_coefficient(self, n):
+        # Goldberg's symmetry: the coefficient depends only on the first letter
+        # and the multiset of run lengths.  The integral has it by construction,
+        # the Reinsch matrices do not, so the engine side makes this a check.
+        rng = random.Random(n)
+        for _ in range(2):
+            word = Word(n, rng.getrandbits(n))
+            runs = word.runs()
+            lengths = [s for _, s in runs]
+            rng.shuffle(lengths)
+            other = Word.from_runs([(letter, s) for (letter, _), s in zip(runs, lengths)])
+            assert other.letter(0) == word.letter(0) and other != word
+            ours, theirs = goldberg_value(word), goldberg_value(other)
+            assert (ours.value, ours.block_count) == (theirs.value, theirs.block_count), word
+            assert engine_coefficient(other) == engine_coefficient(word) == ours.value, word
 
     def test_matches_block_sum_reference_exhaustively(self):
         for n in range(1, 11):
@@ -185,18 +209,19 @@ class TestGoldbergDirect:
     def test_matches_block_sum_reference_at_the_cap(self, text):
         word = w(text)
         assert word.length == oracle.MAX_DP_LENGTH
-        assert goldberg_value(word) == _block_sum_reference(word)
+        value = goldberg_value(word)
+        assert value == _block_sum_reference(word)
+        assert value.value == engine_coefficient(word)
 
     def test_block_count_guard_fails_on_a_low_filling(self, monkeypatch):
-        # XY^2X has a 2-block filling; claiming K = 3 must trip the guard
+        # XY^2X has a 2-block filling; claiming K = 3 must trip the reference's guard
         real = oracle.block_count
         monkeypatch.setattr(oracle, "block_count", lambda word: real(word) + 1)
         with pytest.raises(AssertionError, match=r"k=2 < K=3 for word XY\^2X"):
-            goldberg_value(w("XY^2X"))
+            _block_sum_reference(w("XY^2X"))
 
-    # Values of the Fraction block-sum loop that the integer dynamic program
-    # replaced: the first non-zero coefficient among random.Random(2026)'s
-    # words of each length.
+    # Values of an earlier Fraction loop over the explicit block sum: the first
+    # non-zero coefficient among random.Random(2026)'s words of each length.
     PINNED = (
         ("XYXYX^3Y^3X^2YX^2Y", "1/25945920"),
         ("YX^7YXYX^2YX^2Y^2X", "1/1150269120"),
@@ -235,9 +260,8 @@ class TestGoldbergDirect:
         assert goldberg_direct(w(text)) == F(value)
 
     def test_cap_length_matches_closed_form(self):
-        # X^127 Y gives the dynamic program a block for every pair u < v of
-        # a MAX_DP_LENGTH-letter word, so every slot of the packed state is
-        # used; B_127 = 0, so check X^126 Y^2 as well
+        # X^127 Y and X^126 Y^2 multiply the widest run polynomials below the
+        # cap, H_127 and H_126, by t; B_127 = 0, so X^126 Y^2 is the non-zero one
         assert oracle.MAX_DP_LENGTH == 128
         assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
