@@ -119,24 +119,54 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_cli.py::TestVerify::test_properties_json",
         ),
     ),
-    # goldberg_value with slots sized without the 2^(a+b) of the boundaries
+    # goldberg_value taking a Y-first word's boundaries as if it began with X
     (
         "oracle.py",
-        "bound = 1 << (len(runs) - 1)",
-        "bound = 1",
-        (
-            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
-            f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_at_the_cap",
-        ),
-    ),
-    # goldberg_value with t for a Y->X boundary and t - 1 for an X->Y one
-    (
-        "oracle.py",
-        "acc = (acc << width) - acc if letter == X else acc << width",
-        "acc = (acc << width) - acc if letter == Y else acc << width",
+        "a = (m - (runs[0][0] == Y)) // 2",
+        "a = m // 2",
         (
             f"{ORACLE}::TestGoldbergDirect::test_degree_two",
+            f"{ORACLE}::TestGoldbergDirect::test_words_of_unit_runs_match_the_beta_integral",
+        ),
+    ),
+    # goldberg_value with the Beta weight's (a + j)! one factor too high
+    (
+        "oracle.py",
+        "weights[-1] * i // (i + b + 1)",
+        "weights[-1] * (i + 1) // (i + b + 1)",
+        (
             f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+            f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
+        ),
+    ),
+    # goldberg_value without the (-1)^b of the Y->X boundaries
+    (
+        "oracle.py",
+        "Fraction(-total if b % 2 else total, den)",
+        "Fraction(total, den)",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_degree_two",
+            f"{ORACLE}::TestGoldbergDirect::test_words_of_unit_runs_match_the_beta_integral",
+        ),
+    ),
+    # goldberg_value taking each run polynomial once per length, not k_s times
+    (
+        "oracle.py",
+        "acc *= packed**k",
+        "acc *= packed",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+            f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
+        ),
+    ),
+    # goldberg_value with slots sized for one run of each length
+    (
+        "oracle.py",
+        "bound *= sum(map(abs, polys[s - 1])) ** k",
+        "bound *= sum(map(abs, polys[s - 1]))",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_on_seeded_words",
+            f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
         ),
     ),
     # _merge keeping a word whose sum is zero

@@ -8,8 +8,10 @@ log(exp(X) exp(Y)) as
 
 where G_1 = 1, s G_s = d/dt [t(t - 1) G_(s-1)], and a and b count w's X->Y
 and Y->X boundaries; so g(w) depends only on w's first letter and the
-multiset of its run lengths.  goldberg_value evaluates it in exact integers.
-The second route is the explicit block sum
+multiset of its run lengths.  goldberg_value evaluates it per run class, in
+exact integers: one packed power G_s^(k_s) for the k_s runs of each length
+s above 1, and the boundary factor t^a (t - 1)^b integrated against each
+power of t by the Beta function.  The second route is the explicit block sum
 
     g(w) = sum_{k=K}^{n} (-1)^(k-1)/k *
            sum over block sequences (r_1,s_1),...,(r_k,s_k) with r_i+s_i > 0
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Word, X, Y
@@ -38,9 +41,9 @@ Block = tuple[int, int]
 
 # The longest word the command-line interface sends to goldberg_direct or to
 # engine.word_coefficient, in every goldberg mode.  Goldberg's integral builds
-# H_2..H_s for the longest run s and multiplies at most n packed polynomials
-# of at most n slots; X^128 and X^127Y took 3-7 ms each on a 2-vCPU Xeon VM
-# (Python 3.11).  word_coefficient takes at most one multiply-add per factor
+# H_2..H_s for the longest run s, takes one packed power per distinct run
+# length and reads at most n slots; X^128 and X^127Y took 3-4 ms each on a
+# 2-vCPU Xeon VM (Python 3.11).  word_coefficient takes at most one multiply-add per factor
 # and pair of positions; on the same VM X^128 and X^127Y took 0.09-0.11 s for
 # the standard product and 0.33-0.45 s for symmetric_sum_difference, the
 # slowest preset.
@@ -115,62 +118,69 @@ def goldberg_value(w: Word) -> GoldbergValue:
     """The coefficient of w from Goldberg's integral, plus K.
 
     With H_s = s! G_s, so that H_1 = 1 and H_s = d/dt [t(t - 1) H_(s-1)] has
-    degree s - 1, it is int_0^1 t^a (t - 1)^b prod_i H_(s_i)(t) dt / prod_i s_i!.
-    Each polynomial is packed with the coefficient of t^j in slot j of
-    `width` signed bits, so t is a shift by one slot, t - 1 that shift minus
-    the value, and a run is one integer product, taken in word order.  The
-    product P has degree n - 1, and int_0^1 P = sum_j (M/(j + 1)) P_j / M
-    with M = lcm(1..n): one Fraction is built at the end.
+    degree s - 1, the k_s runs of each length s give Q = prod_s H_s^(k_s), of
+    degree d = n - m for m runs, and g(w) = int_0^1 t^a (t - 1)^b Q(t) dt /
+    prod_s s!^(k_s).  The boundary factor is integrated, never multiplied in:
 
-    The slots never carry.  Each coefficient of P is at most its l1 norm,
-    and the l1 norm is submultiplicative with ||t|| = 1 and ||t - 1|| = 2,
-    so every coefficient is at most 2^(a+b) ||H_(s_1)|| ... ||H_(s_m)|| in
-    absolute value.  Packing evaluates a polynomial at 2^width, a ring map,
-    so the packed product is exact whatever the slots hold on the way and
-    only the final slots must fit: width = that bound's bit length + 1
-    leaves them below 2^(width-1).
+        int_0^1 t^(a+j) (t - 1)^b dt = (-1)^b (a + j)! b! / (a + b + j + 1)!,
+
+    and a + b + 1 = m, so g(w) = (-1)^b sum_j w_j Q_j / (n! prod_s s!^(k_s))
+    with the integer weights w_j = n! (a + j)! b! / (m + j)! (m + j <= n),
+    each from the one before by w_(j+1) = w_j (a + j + 1) / (m + j + 1).
+    Each H_s is packed with the coefficient of t^j in slot j of `width`
+    signed bits, and Q is one integer power per distinct run length above
+    1; a word whose runs all have length 1 has Q = 1 and one slot.
+
+    The slots never carry.  Each coefficient of Q is at most its l1 norm,
+    and the l1 norm is submultiplicative, so every coefficient is at most
+    prod_s ||H_s||^(k_s) in absolute value.  Packing evaluates a polynomial
+    at 2^width, a ring map, so the packed product is exact whatever the
+    slots hold on the way and only Q's slots must fit: width = that bound's
+    bit length + 1, rounded up to whole bytes, leaves them in
+    (-2^(width-1), 2^(width-1)), so adding 2^(width-1) to every slot makes
+    each one an unsigned digit in base 2^width.
     """
     n = w.length
     if n < 1:
         raise ValueError("the coefficient of the empty word is undefined")
     runs = w.runs()
+    m = len(runs)
+    lengths = [s for _, s in runs]
+    # the m - 1 boundaries alternate X->Y (a of them) and Y->X (b of them)
+    a = (m - (runs[0][0] == Y)) // 2
+    b = m - 1 - a
     # the coefficient of t^j in H_s is (j + 1) (H_(s-1)[j - 1] - H_(s-1)[j])
-    polys, norms = [[1]], [1]
-    for _ in range(1, max(s for _, s in runs)):
+    polys = [[1]]
+    for _ in range(1, max(lengths)):
         h = polys[-1]
-        h = [i * (p - q) for i, p, q in zip(range(1, len(h) + 2), [0] + h, h + [0])]
-        polys.append(h)
-        norms.append(sum(map(abs, h)))
-    bound = 1 << (len(runs) - 1)
-    den = 1
-    for _, s in runs:
-        if s > 1:
-            bound *= norms[s - 1]
-            den *= factorial(s)
-    width = bound.bit_length() + 1
-    packed = [0] * len(polys)
-    for s in {s for _, s in runs}:
+        polys.append([i * (p - q) for i, p, q in zip(range(1, len(h) + 2), [0] + h, h + [0])])
+    classes = [(s, lengths.count(s)) for s in set(lengths) if s > 1]
+    bound, den = 1, factorial(n)
+    for s, k in classes:
+        bound *= sum(map(abs, polys[s - 1])) ** k
+        den *= factorial(s) ** k
+    size = bound.bit_length() // 8 + 1
+    width = 8 * size
+    acc = 1
+    for s, k in classes:
+        packed = 0
         for c in reversed(polys[s - 1]):
-            packed[s - 1] = (packed[s - 1] << width) + c
-    acc = packed[runs[0][1] - 1]
-    for letter, s in runs[1:]:
-        # the boundary into this run: X->Y multiplies by t, Y->X by t - 1
-        acc = (acc << width) - acc if letter == X else acc << width
-        if s > 1:
-            acc *= packed[s - 1]
+            packed = (packed << width) + c
+        acc *= packed**k
 
-    m = lcm(*range(1, n + 1))
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    total = 0
-    for j in range(1, n + 1):
-        slot = acc & mask
-        if slot >= half:
-            slot -= 1 << width
-        acc = (acc - slot) >> width
-        total += m // j * slot
-    # K: one block per X-run, and one more for a leading Y-run
-    k = (len(runs) + 1 + (runs[0][0] == Y)) // 2
-    return GoldbergValue(w, Fraction(total, m * den), k)
+    weights = [factorial(n) * factorial(a) * factorial(b) // factorial(m)]
+    for i in range(a + 1, a + n - m + 1):
+        weights.append(weights[-1] * i // (i + b + 1))
+    # 2^(width-1) added to each of the n - m + 1 slots
+    acc += int.from_bytes((bytes(size - 1) + b"\x80") * len(weights), "little")
+    mask = (1 << width) - 1
+    slots = []
+    for _ in weights:
+        slots.append(acc & mask)
+        acc >>= width
+    total = sum(map(mul, weights, slots)) - (sum(weights) << (width - 1))
+    # K: each Y->X boundary starts another X-first block
+    return GoldbergValue(w, Fraction(-total if b % 2 else total, den), b + 1)
 
 
 def goldberg_direct(w: Word) -> Fraction:

@@ -259,9 +259,25 @@ class TestGoldbergDirect:
     def test_pinned_long_words(self, text, value):
         assert goldberg_direct(w(text)) == F(value)
 
+    @pytest.mark.parametrize("first", "XY")
+    def test_words_of_unit_runs_match_the_beta_integral(self, first):
+        # every run of length 1 leaves no run polynomial, so the coefficient is
+        # int_0^1 t^a (t - 1)^b dt = (-1)^b a! b! / n! with a X->Y and b Y->X
+        # boundaries; a Y-first word of even length has a = b - 1, so swapping
+        # a and b or dropping the sign flips the value
+        other = "Y" if first == "X" else "X"
+        for n in range(1, oracle.MAX_DP_LENGTH + 1):
+            text = (first + other) * (n // 2) + first * (n % 2)
+            a, b = text.count("XY"), text.count("YX")
+            expected = F((-1) ** b * factorial(a) * factorial(b), factorial(n))
+            assert goldberg_direct(w(text)) == expected, text
+            if n <= 64:
+                assert engine_coefficient(w(text)) == expected, text
+
     def test_cap_length_matches_closed_form(self):
-        # X^127 Y and X^126 Y^2 multiply the widest run polynomials below the
-        # cap, H_127 and H_126, by t; B_127 = 0, so X^126 Y^2 is the non-zero one
+        # X^127 Y and X^126 Y^2 hold the widest run polynomials below the cap,
+        # H_127 and H_126, and integrate them against t (a = 1, b = 0);
+        # B_127 = 0, so X^126 Y^2 is the non-zero one
         assert oracle.MAX_DP_LENGTH == 128
         assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
