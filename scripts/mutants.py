@@ -99,6 +99,46 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_census.py::TestCensus::test_degree_eight",
         ),
     ),
+    # _factor_mul: the unit X step, no multiply, taken for any weight a
+    (
+        "engine.py",
+        "(lambda s, sh: s) if a == 1 else (lambda s, sh: s * a)",
+        "lambda s, sh: s",
+        (
+            f"{ENGINE}::TestFactorProduct::test_every_step_matches_the_kronecker_product[-2-0]",
+            f"{ENGINE}::TestGoldenTerms::test_loop_low_order",
+        ),
+    ),
+    # _factor_mul: the Y step with a weight b != 1 left unshifted
+    (
+        "engine.py",
+        "(lambda s, sh: s * b << sh)",
+        "(lambda s, sh: s * b)",
+        (
+            f"{ENGINE}::TestFactorProduct::test_every_step_matches_the_kronecker_product_on_sparse_series[0-2]",
+            f"{ENGINE}::TestGoldenTerms::test_symmetric_low_order",
+        ),
+    ),
+    # _factor_mul: the unit X - Y step adding its Y half
+    (
+        "engine.py",
+        "(lambda s, sh: s - (s << sh))",
+        "(lambda s, sh: s + (s << sh))",
+        (
+            f"{ENGINE}::TestFactorProduct::test_every_step_matches_the_kronecker_product[1--1]",
+            f"{ENGINE}::TestGoldenTerms::test_sum_difference_low_order",
+        ),
+    ),
+    # _factor_mul: the X - Y step with a weight a != 1 adding its Y half
+    (
+        "engine.py",
+        "(m := s * a) - (m << sh)",
+        "(m := s * a) + (m << sh)",
+        (
+            f"{ENGINE}::TestFactorProduct::test_every_step_matches_the_kronecker_product[-2-2]",
+            f"{ENGINE}::TestHornerLogAgainstWordRoute::test_random_factors_at_degrees_10_to_12[5]",
+        ),
+    ),
     # SeriesTerm.__eq__ on the raw ints, whose denominator depends on N
     (
         "engine.py",

@@ -16,8 +16,11 @@ matrix product is the series product.  So series_terms works on first rows
 only, in exact integers: the degree-d part is scaled by d! * L^d, with L the
 lcm of the factor denominators, and by M = lcm(1..N) in the logarithm, and
 packed into one int whose fixed-width slots hold its 2^d coefficients.  Each
-factor exp(a X + b Y) multiplies a series from the left by one big-int
-multiply-add per prefix level (_factor_mul).  M * log(1 + A), with A = P - 1
+factor exp(a X + b Y) multiplies a series from the left by one big-int step
+per prefix level (_factor_mul), chosen once by the shape of its weights aL
+and bL, which are scaled once per series: a one-letter factor multiplies
+once, X + Y and X - Y once for both letters, none of them for a unit
+weight, and any other pair twice.  M * log(1 + A), with A = P - 1
 and P the product, is evaluated by Horner's rule, each step A * R = P * R - R
 with R passed through every factor, so P is never stored: about 2^(N+3) slots
 of work per factor in about N^3/6 operations.
@@ -401,23 +404,35 @@ def _slot_width(n: int, bound: int, m: int = 0) -> int:
     return (total * bound**n).bit_length() + 1
 
 
-def _factor_mul(series: list[int], factor: ExpFactor, scale: int, width: int) -> None:
-    """Replace the packed graded series by exp(a*X + b*Y) times it.
+def _factor_mul(series: list[int], a: int, b: int, width: int) -> None:
+    """Replace the packed graded series by exp(a X + b Y) times it; a, b are scaled by L.
 
     Slot i of part d, `width` bits wide, holds the d! * L^d-scaled coefficient
     s_d[i] of Word(d, i), which may be negative.  The exponential's degree-k
-    part gives each word (aL)^#X (bL)^#Y, so the product's degree-d part is
+    part gives each word a^#X b^#Y, so the product's degree-d part is
     q_d[w] = sum_t binom(d, t) * the weights of w[:d-t] * s_t[w[d-t:]].  As a
     word's first letter is its high bit, over the prefix levels t = 1..d,
-    S_0 = s_0, S_t = S_(t-1) * aL + (S_(t-1) * bL up by 2^(t-1) slots) +
-    binom(d, t) s_t, and q_d = S_d.  q_d reads s_0..s_d: the top goes first.
+    S_0 = s_0, S_t = step(S_(t-1)) + binom(d, t) s_t, and q_d = S_d, where
+    step(S) = S * a + (S * b up by 2^(t-1) slots).  q_d reads s_0..s_d: the
+    top goes first.  The step is chosen once, by the weights' shape: a
+    one-letter factor does one multiply, X + Y or X - Y (b = a or -a) one
+    shared by both letters, and none of them multiplies by a unit weight.
     """
-    a, b = int(factor.a * scale), int(factor.b * scale)
+    if b == 0:
+        step = (lambda s, sh: s) if a == 1 else (lambda s, sh: s * a)
+    elif a == 0:
+        step = (lambda s, sh: s << sh) if b == 1 else (lambda s, sh: s * b << sh)
+    elif a == b:
+        step = (lambda s, sh: s + (s << sh)) if a == 1 else lambda s, sh: (m := s * a) + (m << sh)
+    elif a == -b:
+        step = (lambda s, sh: s - (s << sh)) if a == 1 else lambda s, sh: (m := s * a) - (m << sh)
+    else:
+        step = lambda s, sh: s * a + (s * b << sh)
     for d in range(len(series) - 1, 0, -1):
         level = series[0]
-        for t in range(1, d + 1):
-            level = level * a + (level * b << (width << (t - 1))) + comb(d, t) * series[t]
-        series[d] = level
+        for t in range(1, d):
+            level = step(level, width << (t - 1)) + comb(d, t) * series[t]
+        series[d] = step(level, width << (d - 1)) + series[d]
 
 
 # byte b -> 0xFF if its top bit is set, else 0x00; and a sign byte -> the top
@@ -468,6 +483,8 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     m = lcm(*range(1, degree + 1))
     bound = int(sum(max(abs(a), abs(b)) for a, b in factors) * scale)
     width = -(-_slot_width(degree, bound, m) // 8) * 8
+    # the scaled weights, the last factor first: P * R_k multiplies from the left
+    weights = [(int(a * scale), int(b * scale)) for a, b in reversed(factors)]
     # M * log(1 + A) = A * R_1 by Horner's rule: R_N = c_N, R_k = c_k + A * R_(k+1),
     # c_k = (-1)^(k-1) M/k, and R_k matters only up to degree N - k.  Each step
     # pads R_k with a zero part; A * R_k = P * R_k - R_k, R_k being a polynomial in A.
@@ -475,8 +492,8 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     for k in range(degree, 0, -1):
         horner[0] = m // k if k % 2 else -(m // k)
         state = horner + [0]
-        for factor in reversed(factors):  # P * R_k: the last factor first
-            _factor_mul(state, factor, scale, width)
+        for a, b in weights:  # P * R_k
+            _factor_mul(state, a, b, width)
         for d, part in enumerate(horner):
             state[d] -= part
         horner = state

@@ -546,9 +546,9 @@ def _slot_width_for(series_list):
 
 
 def _packed_factor_mul(series, factor, scale, width):
-    """engine._factor_mul on the packed series, unpacked again."""
+    """engine._factor_mul on the packed series, at the scaled weights, unpacked again."""
     packed = [_pack(part, width) for part in series]
-    engine._factor_mul(packed, factor, scale, width)
+    engine._factor_mul(packed, int(factor.a * scale), int(factor.b * scale), width)
     return [_unpack_slots(part, d, width) for d, part in enumerate(packed)]
 
 
@@ -574,8 +574,11 @@ def _assert_packed_products_match(factors, degree):
 
 
 def _random_factors(seed):
-    """1-5 factors with denominators up to 7; in a quarter of the seeds each, one
-    factor gets a = 0, b = 0 or both."""
+    """1-5 factors with denominators up to 7.  By seed % 10, one factor is left
+    as drawn, gets the weights (0, b), (a, 0), (0, 0), (a, a) or (a, -a), or
+    gets unit weights u: (u, 0), (0, u), (u, u) or (u, -u), u = 1/L with L the
+    lcm of the other factors' denominators, so that uL = 1.  So every step
+    of _factor_mul is reached."""
     rng = random.Random(seed)
 
     def weight():
@@ -583,9 +586,39 @@ def _random_factors(seed):
 
     factors = [exp_factor(weight(), weight()) for _ in range(rng.randint(1, 5))]
     k = rng.randrange(len(factors))
-    a, b = factors[k]
-    factors[k] = [factors[k], exp_factor(0, b), exp_factor(a, 0), exp_factor(0, 0)][seed % 4]
+    a, b = factors.pop(k)
+    u = F(1, lcm(*(q.denominator for factor in factors for q in factor)))
+    shaped = [(a, b), (0, b), (a, 0), (0, 0), (a, a), (a, -a), (u, 0), (0, u), (u, u), (u, -u)]
+    factors.insert(k, exp_factor(*shaped[seed % 10]))
     return tuple(factors)
+
+
+def _step_shape(a, b):
+    """The step that _factor_mul takes for the scaled weights (a, b), and
+    whether it skips the multiply by a unit weight; exp(0) is its own shape."""
+    if a == b == 0:
+        return "0", False
+    if b == 0:
+        return "X", a == 1
+    if a == 0:
+        return "Y", b == 1
+    if a == b:
+        return "X+Y", a == 1
+    if a == -b:
+        return "X-Y", a == 1
+    return "aX+bY", False
+
+
+# one factor of each step, in integer weights, so scaled by L = 1
+_SHAPES = [(1, 0), (-2, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, -1), (-2, 2), (0, 0), (3, -2)]
+
+
+def _sparse_series(rng, degree):
+    """A signed random graded series up to degree, each part zero with chance 0.4."""
+    return [
+        [rng.randint(-9, 9) for _ in range(1 << d)] if rng.random() < 0.6 else [0] * (1 << d)
+        for d in range(degree + 1)
+    ]
 
 
 class TestFactorProduct:
@@ -604,17 +637,35 @@ class TestFactorProduct:
         assert any(a == 0 and b != 0 for a, b in factors)
         assert any(b == 0 and a != 0 for a, b in factors)
         assert exp_factor(0, 0) in factors
+        # every step, with the weights scaled as _graded_series scales them
+        reached = set()
+        for seed in range(30):
+            factors = _random_factors(seed)
+            scale = lcm(*(q.denominator for factor in factors for q in factor))
+            reached |= {_step_shape(int(a * scale), int(b * scale)) for a, b in factors}
+        assert reached == {_step_shape(a, b) for a, b in _SHAPES}
+        assert len(reached) == len(_SHAPES)
+
+    @pytest.mark.parametrize("a, b", _SHAPES)
+    def test_every_step_matches_the_kronecker_product(self, a, b):
+        # the step alone, and after a general factor that fills every slot
+        _assert_packed_products_match((exp_factor(a, b),), 12)
+        _assert_packed_products_match((exp_factor(a, b), exp_factor(2, -3)), 12)
+
+    @pytest.mark.parametrize("a, b", _SHAPES)
+    def test_every_step_matches_the_kronecker_product_on_sparse_series(self, a, b):
+        for seed in range(3):
+            series = _sparse_series(random.Random(f"{a},{b}:{seed}"), 12)
+            expected = _kronecker_factor_mul(series, exp_factor(a, b), 1)
+            width = _slot_width_for([series, expected])
+            assert _packed_factor_mul(series, exp_factor(a, b), 1, width) == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_the_kronecker_product_on_sparse_series(self, seed):
         # any graded series, not only a product of exponentials: some parts
         # are zero, among them sometimes p_0, and the others are random and signed
         rng = random.Random(seed)
-        degree = rng.randint(1, 10)
-        series = [
-            [rng.randint(-9, 9) for _ in range(1 << d)] if rng.random() < 0.6 else [0] * (1 << d)
-            for d in range(degree + 1)
-        ]
+        series = _sparse_series(rng, rng.randint(1, 10))
         factor = _random_factors(100 + seed)[0]
         scale = lcm(*range(1, 8))  # clears every denominator up to 7
         expected = _kronecker_factor_mul(series, factor, scale)
@@ -692,7 +743,8 @@ class TestSlotWidth:
 
 # sha256 of repr([term._reduced() for term in series_terms(preset(name), N)]):
 # every coefficient's exact value.  At N 16 some slots of symmetric_sum_difference
-# exceed 64 bits, so its top parts take the per-slot decode.
+# exceed 64 bits, so its top parts take the per-slot decode.  The other three
+# N 16 pins run _factor_mul's one-letter, unit and X +- Y steps on parts of 2^16 slots.
 DENSE_SHA256 = {
     ("standard", 13): "a6709f1137ab47363c860254489017c9d7974823a89658f67aa412896e52d8b5",
     ("symmetric", 13): "73d842901ed253231e4dd8f936214699a1a24f0f3c5e79c3e24ab91dc9065974",
@@ -705,6 +757,11 @@ DENSE_SHA256 = {
         "48c58f6dd529e3d454d5664e44f5ef3b01e83b1f15f10924b9260e505cd80c90"
     ),
     ("symmetric_sum_difference", 16): "77e0eb7d427d92b045453fdc8e0881d8ef0ede4604a64cda810578b5ae0a1912",
+    ("standard", 16): "369a56999deae7de0c4f61d71f1fcb950f040920421cd95b651487d91120dbcb",
+    ("symmetric", 16): "61552c7e00b776197a5cf37e1253af4f74391dc81738ccd35a0afdc7914f5fab",
+    ("highly_symmetrized_sum_difference", 16): (
+        "750ebb735f649b3bb09024ab6ac5c4213ac73e5bfefc96c9aaea43b0159e7527"
+    ),
 }
 
 
