@@ -159,7 +159,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_cli.py::TestVerify::test_properties_json",
         ),
     ),
-    # goldberg_value taking a Y-first word's boundaries as if it began with X
+    # goldberg_direct taking a Y-first word's boundaries as if it began with X
     (
         "oracle.py",
         "a = (m - (runs[0][0] == Y)) // 2",
@@ -169,7 +169,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_words_of_unit_runs_match_the_beta_integral",
         ),
     ),
-    # goldberg_value with the Beta weight's (a + j)! one factor too high
+    # goldberg_direct with the Beta weight's (a + j)! one factor too high
     (
         "oracle.py",
         "weights[-1] * i // (i + b + 1)",
@@ -179,7 +179,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
         ),
     ),
-    # goldberg_value without the (-1)^b of the Y->X boundaries
+    # goldberg_direct without the (-1)^b of the Y->X boundaries
     (
         "oracle.py",
         "Fraction(-total if b % 2 else total, den)",
@@ -189,7 +189,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_words_of_unit_runs_match_the_beta_integral",
         ),
     ),
-    # goldberg_value taking each run polynomial once per length, not k_s times
+    # goldberg_direct taking each run polynomial once per length, not k_s times
     (
         "oracle.py",
         "acc *= packed**k",
@@ -199,7 +199,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
         ),
     ),
-    # goldberg_value with slots sized for one run of each length
+    # goldberg_direct with slots sized for one run of each length
     (
         "oracle.py",
         "bound *= sum(map(abs, polys[s - 1])) ** k",
@@ -208,6 +208,14 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_on_seeded_words",
             f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
         ),
+    ),
+    # goldberg without the word-length cap; the oracle-mode cap test would
+    # evaluate X^99999999 under this mutant, so only the engine-mode one runs
+    (
+        "cli.py",
+        "word_parse(word_text, max_length=MAX_WORD_LENGTH)",
+        "word_parse(word_text)",
+        ("tests/test_cli.py::TestGoldberg::test_engine_word_above_cap_is_usage_error",),
     ),
     # _merge keeping a word whose sum is zero
     (

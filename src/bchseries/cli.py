@@ -19,6 +19,7 @@ from .algebra import Word, all_words, format_sum, word_format, word_parse
 from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_sweep
 from .engine import (
     MAX_DEGREE,
+    MAX_WORD_LENGTH,
     PRESET_NAMES,
     SeriesTerm,
     preset,
@@ -27,7 +28,7 @@ from .engine import (
 )
 from .forms import check_forms
 from .lie import format_comm_poly, is_lie_vector
-from .oracle import MAX_DP_LENGTH, goldberg_direct
+from .oracle import goldberg_direct
 
 # one row of a verify suite: (passed, text lines, JSON record)
 Row = tuple[bool, list[str], dict[str, Any]]
@@ -138,7 +139,7 @@ def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> Iterator[str]:
     show_default=True,
     help=(
         "Compute from the word's Reinsch matrices, from Goldberg's integral"
-        f" (standard only), or both; words up to {MAX_DP_LENGTH} letters."
+        f" (standard only), or both; words up to {MAX_WORD_LENGTH} letters."
     ),
 )
 def goldberg(word_text: str, variant: str, mode: str) -> None:
@@ -148,7 +149,7 @@ def goldberg(word_text: str, variant: str, mode: str) -> None:
             f"--mode {mode} needs --variant standard: Goldberg's integral is standard-only"
         )
     try:
-        w = word_parse(word_text, max_length=MAX_DP_LENGTH)
+        w = word_parse(word_text, max_length=MAX_WORD_LENGTH)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if w.length < 1:

@@ -126,6 +126,16 @@ PRESET_NAMES: tuple[str, ...] = tuple(PRESETS)
 # to series_terms.  Its memory doubles per degree.
 MAX_DEGREE = 20
 
+# The longest word the command-line interface sends to word_coefficient or to
+# oracle.goldberg_direct, in every goldberg mode.  word_coefficient takes at
+# most one multiply-add per factor and pair of positions; X^128 and X^127Y
+# took 0.09-0.11 s for the standard product and 0.33-0.45 s for
+# symmetric_sum_difference, the slowest preset, on a 2-vCPU Xeon VM (Python
+# 3.11).  Goldberg's integral builds H_2..H_s for the longest run s, takes one
+# packed power per distinct run length and reads at most n slots; on the same
+# VM X^128 and X^127Y took 3-4 ms each.
+MAX_WORD_LENGTH = 128
+
 
 def preset(name: str) -> VariantPreset:
     """Look up one of the built-in variant presets by name."""

@@ -8,20 +8,20 @@ log(exp(X) exp(Y)) as
 
 where G_1 = 1, s G_s = d/dt [t(t - 1) G_(s-1)], and a and b count w's X->Y
 and Y->X boundaries; so g(w) depends only on w's first letter and the
-multiset of its run lengths.  goldberg_value evaluates it per run class, in
+multiset of its run lengths.  goldberg_direct evaluates it per run class, in
 exact integers: one packed power G_s^(k_s) for the k_s runs of each length
 s above 1, and the boundary factor t^a (t - 1)^b integrated against each
-power of t by the Beta function.  The second route is the explicit block sum
+power of t by the Beta function.
 
-    g(w) = sum_{k=K}^{n} (-1)^(k-1)/k *
+goldberg_direct_naive, for short words only, takes the explicit block sum
+
+    g(w) = sum_{k=1}^{n} (-1)^(k-1)/k *
            sum over block sequences (r_1,s_1),...,(r_k,s_k) with r_i+s_i > 0
            whose literal expansion X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} equals w
            of 1/(r_1! s_1! ... r_k! s_k!),
 
-where K is the number of blocks in w's own X-first block normal form
-(block_normal_form).  goldberg_direct_naive enumerates every block sequence
-and filters by collapse, for short words; goldberg_xy is the Bernoulli
-closed form for X^a Y^b.
+enumerating every block sequence and filtering by collapse; goldberg_xy is
+the Bernoulli closed form for X^a Y^b.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Block = tuple[int, int]
-
-# The longest word the command-line interface sends to goldberg_direct or to
-# engine.word_coefficient, in every goldberg mode.  Goldberg's integral builds
-# H_2..H_s for the longest run s, takes one packed power per distinct run
-# length and reads at most n slots; X^128 and X^127Y took 3-4 ms each on a
-# 2-vCPU Xeon VM (Python 3.11).  word_coefficient takes at most one multiply-add per factor
-# and pair of positions; on the same VM X^128 and X^127Y took 0.09-0.11 s for
-# the standard product and 0.33-0.45 s for symmetric_sum_difference, the
-# slowest preset.
-MAX_DP_LENGTH = 128
 
 
 class BlockSeq(NamedTuple):
@@ -70,14 +60,6 @@ class BlockSeq(NamedTuple):
         return sum(r + s for r, s in self.blocks)
 
 
-class GoldbergValue(NamedTuple):
-    """A word's coefficient together with its normal-form block count."""
-
-    word: Word
-    value: Fraction
-    block_count: int
-
-
 def collapse(bs: BlockSeq) -> Word:
     """Expand X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} literally into a word."""
     runs = []
@@ -89,33 +71,8 @@ def collapse(bs: BlockSeq) -> Word:
     return Word.from_runs(runs)
 
 
-def block_normal_form(w: Word) -> tuple[Block, ...]:
-    """w's X-first block form X^{p_1}Y^{q_1}...X^{p_K}Y^{q_K}.
-
-    Only p_1 and/or q_K may be zero; all interior exponents are positive.
-    """
-    blocks: list[Block] = []
-    pending_x: int | None = None
-    for letter, mult in w.runs():
-        if letter == X:
-            if pending_x is not None:
-                blocks.append((pending_x, 0))
-            pending_x = mult
-        else:
-            blocks.append((pending_x if pending_x is not None else 0, mult))
-            pending_x = None
-    if pending_x is not None:
-        blocks.append((pending_x, 0))
-    return tuple(blocks)
-
-
-def block_count(w: Word) -> int:
-    """K, the number of blocks in the X-first normal form."""
-    return len(block_normal_form(w))
-
-
-def goldberg_value(w: Word) -> GoldbergValue:
-    """The coefficient of w from Goldberg's integral, plus K.
+def goldberg_direct(w: Word) -> Fraction:
+    """The coefficient of w in the standard-product series, from Goldberg's integral.
 
     With H_s = s! G_s, so that H_1 = 1 and H_s = d/dt [t(t - 1) H_(s-1)] has
     degree s - 1, the k_s runs of each length s give Q = prod_s H_s^(k_s), of
@@ -179,13 +136,7 @@ def goldberg_value(w: Word) -> GoldbergValue:
         slots.append(acc & mask)
         acc >>= width
     total = sum(map(mul, weights, slots)) - (sum(weights) << (width - 1))
-    # K: each Y->X boundary starts another X-first block
-    return GoldbergValue(w, Fraction(-total if b % 2 else total, den), b + 1)
-
-
-def goldberg_direct(w: Word) -> Fraction:
-    """The coefficient of w in the standard-product series, from Goldberg's integral."""
-    return goldberg_value(w).value
+    return Fraction(-total if b % 2 else total, den)
 
 
 def enumerate_block_seqs(total: int, k: int) -> Iterator[BlockSeq]:

@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from bchseries import engine
 from bchseries.algebra import FreePoly, word_parse
 from bchseries.cli import VERIFY_SUITES, _coefficients, main
-from bchseries.engine import MAX_DEGREE, PRESET_NAMES, SeriesTerm, preset
-from bchseries.oracle import MAX_DP_LENGTH, goldberg_xy
+from bchseries.engine import MAX_DEGREE, MAX_WORD_LENGTH, PRESET_NAMES, SeriesTerm, preset
+from bchseries.oracle import goldberg_xy
 
 
 def run(*args: str):
@@ -188,17 +188,17 @@ class TestGoldberg:
         assert result.exit_code == 2
 
     def test_engine_word_above_cap_is_usage_error(self):
-        # every mode shares the oracle's cap
+        # every mode shares one word cap
         for mode in ("engine", "both"):
-            result = run("goldberg", "--word", f"X^{MAX_DP_LENGTH}Y", "--mode", mode)
+            result = run("goldberg", "--word", f"X^{MAX_WORD_LENGTH}Y", "--mode", mode)
             assert result.exit_code == 2
-            assert f"longer than {MAX_DP_LENGTH} letters" in result.output
+            assert f"longer than {MAX_WORD_LENGTH} letters" in result.output
 
     def test_oracle_word_above_its_cap_is_usage_error(self):
-        for text in (f"X^{MAX_DP_LENGTH}Y", "X^99999999", "Y^99999999999999"):
+        for text in (f"X^{MAX_WORD_LENGTH}Y", "X^99999999", "Y^99999999999999"):
             result = run("goldberg", "--word", text, "--mode", "oracle")
             assert result.exit_code == 2
-            assert f"longer than {MAX_DP_LENGTH} letters" in result.output
+            assert f"longer than {MAX_WORD_LENGTH} letters" in result.output
 
     def test_every_mode_reaches_past_the_series_cap(self):
         assert word_parse("X^10Y^11").length > MAX_DEGREE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -15,21 +16,18 @@ from bchseries import (
     Y,
     all_words,
     bernoulli,
-    block_count,
-    block_normal_form,
     collapse,
     engine_coefficient,
     goldberg_direct,
     goldberg_direct_naive,
-    goldberg_value,
     goldberg_xy,
     goldberg_xy_images,
     word_coefficient,
     word_parse,
 )
-from bchseries import engine, oracle
+from bchseries import engine
 from bchseries.engine import PRESET_NAMES, VariantPreset, exp_factor, preset
-from bchseries.oracle import enumerate_block_seqs
+from bchseries.oracle import Block, enumerate_block_seqs
 
 w = word_parse
 F = Fraction
@@ -64,6 +62,31 @@ class TestCollapse:
                     assert collapse(bs).length == n
 
 
+def block_normal_form(word: Word) -> tuple[Block, ...]:
+    """The word's X-first block form X^{p_1}Y^{q_1}...X^{p_K}Y^{q_K}.
+
+    Only p_1 and/or q_K may be zero; all interior exponents are positive.
+    """
+    blocks: list[Block] = []
+    pending_x: int | None = None
+    for letter, mult in word.runs():
+        if letter == X:
+            if pending_x is not None:
+                blocks.append((pending_x, 0))
+            pending_x = mult
+        else:
+            blocks.append((pending_x if pending_x is not None else 0, mult))
+            pending_x = None
+    if pending_x is not None:
+        blocks.append((pending_x, 0))
+    return tuple(blocks)
+
+
+def block_count(word: Word) -> int:
+    """K, the number of blocks in the X-first normal form."""
+    return len(block_normal_form(word))
+
+
 class TestBlockNormalForm:
     def test_examples(self):
         assert block_normal_form(w("XY^2X")) == ((1, 2), (1, 0))
@@ -88,12 +111,12 @@ class TestBlockNormalForm:
 
 
 def _block_sum_reference(word):
-    """goldberg_value from the explicit block sum, by a loop over k and the positions u.
+    """goldberg_direct from the explicit block sum, by a loop over k and the positions u.
 
     state[u] is u! times the sum over the fillings of word[:u] by k blocks;
     each round places one more block, as an X^r step and then a Y^s step,
     and drops the empty (0, 0) block.  No filling has fewer than K blocks,
-    K being oracle.block_count of the word's normal form.
+    K being block_count of the word's normal form.
     """
     n = word.length
     letters = tuple(word.letters())
@@ -105,7 +128,7 @@ def _block_sum_reference(word):
             xrun[u] = xrun[u + 1] + 1
         else:
             yrun[u] = yrun[u + 1] + 1
-    k_min = oracle.block_count(word)
+    k_min = block_count(word)
     m = lcm(*range(1, n + 1))
     total = 0
     state = [0] * (n + 1)
@@ -127,7 +150,7 @@ def _block_sum_reference(word):
         if state[n]:
             assert k >= k_min, f"block filling with k={k} < K={k_min} for word {word}"
             total += (-1) ** (k - 1) * (m // k) * state[n]
-    return oracle.GoldbergValue(word, F(total, m * factorial(n)), k_min)
+    return F(total, m * factorial(n))
 
 
 class TestGoldbergDirect:
@@ -151,10 +174,12 @@ class TestGoldbergDirect:
             goldberg_direct_naive(w(""))
 
     def test_block_count_exposed(self):
-        value = goldberg_value(w("XY^2X"))
-        assert value.word == w("XY^2X")
-        assert value.block_count == 2
-        assert value.value == 0
+        # K is read off the test-side normal form; the coefficient is a bare Fraction
+        word = w("XY^2X")
+        assert block_count(word) == 2
+        value = goldberg_direct(word)
+        assert type(value) is Fraction
+        assert value == 0 == _block_sum_reference(word)
 
     def test_direct_matches_naive_exhaustively(self):
         # the filter-based enumeration is the oracle for Goldberg's integral
@@ -186,21 +211,21 @@ class TestGoldbergDirect:
             rng.shuffle(lengths)
             other = Word.from_runs([(letter, s) for (letter, _), s in zip(runs, lengths)])
             assert other.letter(0) == word.letter(0) and other != word
-            ours, theirs = goldberg_value(word), goldberg_value(other)
-            assert (ours.value, ours.block_count) == (theirs.value, theirs.block_count), word
-            assert engine_coefficient(other) == engine_coefficient(word) == ours.value, word
+            ours = goldberg_direct(word)
+            assert goldberg_direct(other) == ours, word
+            assert engine_coefficient(other) == engine_coefficient(word) == ours, word
 
     def test_matches_block_sum_reference_exhaustively(self):
         for n in range(1, 11):
             for word in all_words(n):
-                assert goldberg_value(word) == _block_sum_reference(word), word
+                assert goldberg_direct(word) == _block_sum_reference(word), word
 
     @pytest.mark.parametrize("n", [16, 24, 32, 48, 64, 96, 128])
     def test_matches_block_sum_reference_on_seeded_words(self, n):
         rng = random.Random(n)
         for _ in range(3):
             word = Word(n, rng.getrandbits(n))
-            assert goldberg_value(word) == _block_sum_reference(word), word
+            assert goldberg_direct(word) == _block_sum_reference(word), word
 
     @pytest.mark.parametrize(
         "text", ["X^128", "Y^128", "X^64Y^64", "XY" * 64, "X^127Y"],
@@ -208,15 +233,14 @@ class TestGoldbergDirect:
     )
     def test_matches_block_sum_reference_at_the_cap(self, text):
         word = w(text)
-        assert word.length == oracle.MAX_DP_LENGTH
-        value = goldberg_value(word)
+        assert word.length == engine.MAX_WORD_LENGTH
+        value = goldberg_direct(word)
         assert value == _block_sum_reference(word)
-        assert value.value == engine_coefficient(word)
+        assert value == engine_coefficient(word)
 
     def test_block_count_guard_fails_on_a_low_filling(self, monkeypatch):
         # XY^2X has a 2-block filling; claiming K = 3 must trip the reference's guard
-        real = oracle.block_count
-        monkeypatch.setattr(oracle, "block_count", lambda word: real(word) + 1)
+        monkeypatch.setattr(sys.modules[__name__], "block_count", lambda word: 3)
         with pytest.raises(AssertionError, match=r"k=2 < K=3 for word XY\^2X"):
             _block_sum_reference(w("XY^2X"))
 
@@ -266,7 +290,7 @@ class TestGoldbergDirect:
         # boundaries; a Y-first word of even length has a = b - 1, so swapping
         # a and b or dropping the sign flips the value
         other = "Y" if first == "X" else "X"
-        for n in range(1, oracle.MAX_DP_LENGTH + 1):
+        for n in range(1, engine.MAX_WORD_LENGTH + 1):
             text = (first + other) * (n // 2) + first * (n % 2)
             a, b = text.count("XY"), text.count("YX")
             expected = F((-1) ** b * factorial(a) * factorial(b), factorial(n))
@@ -278,7 +302,7 @@ class TestGoldbergDirect:
         # X^127 Y and X^126 Y^2 hold the widest run polynomials below the cap,
         # H_127 and H_126, and integrate them against t (a = 1, b = 0);
         # B_127 = 0, so X^126 Y^2 is the non-zero one
-        assert oracle.MAX_DP_LENGTH == 128
+        assert engine.MAX_WORD_LENGTH == 128
         assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
 
@@ -311,7 +335,7 @@ class TestReinschMatrices:
     @pytest.mark.parametrize("text", ["X^128", "X^127Y", "X^64Y^64"])
     def test_cap_length_words(self, text):
         word = w(text)
-        assert word.length == oracle.MAX_DP_LENGTH
+        assert word.length == engine.MAX_WORD_LENGTH
         value = goldberg_xy(word.count_x, word.count_y)
         assert word_coefficient(STANDARD, word) == value == goldberg_direct(word)
 
@@ -378,8 +402,6 @@ class TestGoldbergXY:
                 if a + b < 1:
                     continue
                 runs = [run for run in ((X, a), (Y, b)) if run[1] > 0]
-                from bchseries import Word
-
                 assert goldberg_xy(a, b) == goldberg_direct(Word.from_runs(runs))
 
     def test_symmetry_images(self):
