@@ -29,44 +29,84 @@ ENGINE = "tests/test_engine.py"
 ORACLE = "tests/test_oracle.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
-    # _unpack: the struct pass without the top-byte check
+    # SeriesTerm.marks: the top byte of a zero slot taken as 0x00, not 0x80
     (
-        "engine.py",
-        "data[size - 1 :: size] == sign.translate(_TOP) and ",
-        "",
+        "terms.py",
+        "int(b != 0x80)",
+        "int(b != 0x00)",
         (
-            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
-            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+            f"{ENGINE}::TestMarks::test_count_and_marks_read_the_nonzero_slots[standard]",
+            "tests/test_census.py::TestCensus::test_degree_eight",
         ),
     ),
-    # _unpack: the struct pass reading each low 8 bytes unsigned
+    # SeriesTerm.marks: the byte column below the top one left out of the OR
     (
-        "engine.py",
+        "terms.py",
+        "for j in range(size - 1):",
+        "for j in range(size - 2):",
+        (
+            f"{ENGINE}::TestMarks::test_count_and_marks_read_the_nonzero_slots[standard]",
+            f"{ENGINE}::TestMarks::test_a_body_round_trips_at_every_slot_size",
+        ),
+    ),
+    # _decode: slots of up to 8 bytes read without flipping the top bit
+    (
+        "terms.py",
+        ".unpack(flipped)",
+        ".unpack(data)",
+        (
+            f"{ENGINE}::TestDecode::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestGoldenTerms::test_standard_degree_five",
+        ),
+    ),
+    # _decode: wide slots marked without the top-byte check
+    (
+        "terms.py",
+        "[sign] * (size - 9) + [sign.translate(_TOP)]",
+        "[sign] * (size - 9)",
+        (
+            f"{ENGINE}::TestDecode::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestDecode::test_one_wide_slot_first_in_the_middle_or_last",
+        ),
+    ),
+    # _decode: the struct pass reading each low 8 bytes unsigned
+    (
+        "terms.py",
         'f"q{size - 8}x"',
         'f"Q{size - 8}x"',
         (
-            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
-            f"{ENGINE}::TestUnpack::test_parts_within_64_bits_take_the_struct_pass",
+            f"{ENGINE}::TestDecode::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestDecode::test_parts_within_64_bits_take_the_struct_pass",
         ),
     ),
-    # _unpack: the sign read from byte 8 instead of the top bit of byte 7
+    # _decode: the sign read from byte 8 instead of the top bit of byte 7
     (
-        "engine.py",
+        "terms.py",
         "data[7::size].translate(_SIGN)",
         "data[8::size].translate(_SIGN)",
         (
-            f"{ENGINE}::TestUnpack::test_parts_within_64_bits_take_the_struct_pass",
-            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+            f"{ENGINE}::TestDecode::test_parts_within_64_bits_take_the_struct_pass",
+            f"{ENGINE}::TestDecode::test_one_wide_slot_first_in_the_middle_or_last",
         ),
     ),
-    # _unpack: the slot-by-slot read without the offset 2^(width-1)
+    # _decode: wide slots left at their struct value, not read again
     (
-        "engine.py",
-        'int.from_bytes(s, "little") - half',
-        'int.from_bytes(s, "little")',
+        "terms.py",
+        'for i in compress(range(count), wide.to_bytes(count, "little")):',
+        "for i in ():",
         (
-            f"{ENGINE}::TestUnpack::test_round_trip_at_the_slot_extremes",
-            f"{ENGINE}::TestUnpack::test_one_wide_slot_first_in_the_middle_or_last",
+            f"{ENGINE}::TestDecode::test_one_wide_slot_first_in_the_middle_or_last",
+            f"{ENGINE}::TestDecode::test_coefficients_beyond_64_bits_match_the_word_route",
+        ),
+    ),
+    # _decode: a wide slot read again without the offset 2^(width-1)
+    (
+        "terms.py",
+        '(i + 1) * size], "little") - half',
+        '(i + 1) * size], "little")',
+        (
+            f"{ENGINE}::TestDecode::test_round_trip_at_the_slot_extremes",
+            f"{ENGINE}::TestDecode::test_one_wide_slot_first_in_the_middle_or_last",
         ),
     ),
     # _surjection_rows: S(n, k) instead of k! S(n, k)
@@ -139,11 +179,11 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ENGINE}::TestHornerLogAgainstWordRoute::test_random_factors_at_degrees_10_to_12[5]",
         ),
     ),
-    # SeriesTerm.__eq__ on the raw ints, whose denominator depends on N
+    # SeriesTerm.__eq__ on the raw bytes, whose slot size and denominator depend on N
     (
-        "engine.py",
+        "terms.py",
         "return self._reduced() == other._reduced()",
-        "return (self.degree, self._ints, self._den) == (other.degree, other._ints, other._den)",
+        "return (self.degree, self._data, self._den) == (other.degree, other._data, other._den)",
         (
             f"{ENGINE}::TestSeriesTerm::test_body_built_term_equals_the_engine_term",
             f"{ENGINE}::TestTruncation::test_lower_degrees_are_a_prefix_of_a_longer_run",

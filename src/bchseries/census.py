@@ -6,10 +6,10 @@ saturation rule, and the even-length bound 2^(n-1) - 4.  The property suite
 checks the coefficient symmetries (fixed-length and fixed-content zero sums,
 run-exponent permutation invariance, cyclic-shift zero sums, interchange and
 reversal sign rules, palindrome-concatenation zeros, and the vanishing rule
-for even-length words with an odd number of runs).  The counts and checks read
-a term's dense ints, indexed by Word.bits over one denominator: interchange
-is an XOR with the all-ones mask, reversal a bit reversal, and content,
-rotation and run classes are keyed by the bits.
+for even-length words with an odd number of runs).  The counts read a term's
+non-zero marks and the checks its dense ints, both indexed by Word.bits:
+interchange is an XOR with the all-ones mask, reversal a bit reversal, and
+content, rotation and run classes are keyed by the bits.
 """
 
 from __future__ import annotations
@@ -338,16 +338,15 @@ class OccurrenceProfile(NamedTuple):
 def letter_occurrence_profile(n: int, variant: VariantPreset | None = None) -> OccurrenceProfile:
     """Per-position letter counts and maximal-run histograms at degree n.
 
-    The counts read the term's dense ints, where letter i of Word(n, bits) is
-    bit n - 1 - i and Y is a set bit.  by_prefix[j][u] counts the non-zero
+    The counts read the term's non-zero marks, where letter i of Word(n, bits)
+    is bit n - 1 - i and Y is a set bit.  by_prefix[j][u] counts the non-zero
     words whose bits above the lowest j are u, so sum(by_prefix[j][p::2^w])
     counts those whose bits j..j+w-1 hold the pattern p.  A maximal run is
     such a pattern: its letters, bounded by the other letter on each side
     that is not an end of the word.
     """
     variant = variant if variant is not None else PRESETS["standard"]
-    ints, _ = series_terms(variant, n)[-1].to_dense()
-    by_prefix = [[1 if c else 0 for c in ints]]
+    by_prefix = [series_terms(variant, n)[-1].marks()]
     for _ in range(n):
         level = by_prefix[-1]
         by_prefix.append(list(map(add, level[::2], level[1::2])))

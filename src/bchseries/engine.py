@@ -25,14 +25,13 @@ and P the product, is evaluated by Horner's rule, each step A * R = P * R - R
 with R passed through every factor, so P is never stored: about 2^(N+3) slots
 of work per factor in about N^3/6 operations.
 
-Each part is then unpacked into a dense SeriesTerm, 2^d ints over one
-denominator, which the census, bound, property and Dynkin consumers read;
-.body builds a Fraction/FreePoly copy.  A part whose slots are wider than 8
-bytes but all hold signed 64-bit values, as every part of every preset does
-at N 13 and 14, is read by one struct pass; any other part slot by slot.
-Nothing is cached, so no state changes after import.  Memory doubles per
-degree, mostly for the 2^(N+1) finished ints, so the command-line interface
-caps the degree at MAX_DEGREE.
+Each part then becomes a terms.SeriesTerm that keeps the part's bytes over
+one denominator.  The census, the bound checks and the letter profile count
+its non-zero slots from those bytes alone; the property, Dynkin and rendering
+consumers decode its 2^d ints once with to_dense(), and .body builds a
+Fraction/FreePoly copy.  Nothing is cached, so no state changes after import.
+Memory doubles per degree, for the packed parts and their bytes, so the
+command-line interface caps the degree at MAX_DEGREE.
 
 One coefficient does not need the series.  Reinsch's word-specialised
 matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
@@ -46,12 +45,11 @@ engine_coefficient is its standard-product case and runs no series.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, gcd, lcm
-from struct import Struct, iter_unpack
+from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
+from .terms import SeriesTerm, _slot_size
 
 
 class ExpFactor(NamedTuple):
@@ -123,7 +121,7 @@ PRESETS: dict[str, VariantPreset] = {
 PRESET_NAMES: tuple[str, ...] = tuple(PRESETS)
 
 # The largest degree, or word length, that the command-line interface sends
-# to series_terms.  Its memory doubles per degree.
+# to series_terms.  Its memory doubles per degree, for the packed parts and bytes.
 MAX_DEGREE = 20
 
 # The longest word the command-line interface sends to word_coefficient or to
@@ -143,58 +141,6 @@ def preset(name: str) -> VariantPreset:
         return PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}") from None
-
-
-class SeriesTerm:
-    """The homogeneous degree-n term of a series, in dense form.
-
-    A term holds (ints, den): the coefficient of Word(n, bits) is
-    ints[bits] / den.  The engine builds terms with from_dense;
-    SeriesTerm(n, body) stores body.to_dense(n).  A term never changes after
-    construction: every read of .body builds a new FreePoly.  The engine's
-    den depends on the truncation N, so equality and the hash compare the
-    form reduced by the gcd of den and the ints, that is, the values.
-    """
-
-    __slots__ = ("degree", "_ints", "_den")
-
-    def __init__(self, degree: int, body: FreePoly):
-        self.degree = degree
-        self._ints, self._den = body.to_dense(degree)
-
-    @classmethod
-    def from_dense(cls, degree: int, ints: tuple[int, ...], den: int) -> "SeriesTerm":
-        term = object.__new__(cls)
-        term.degree, term._ints, term._den = degree, ints, den
-        return term
-
-    @property
-    def body(self) -> FreePoly:
-        return FreePoly.from_dense(self.degree, self._ints, self._den)
-
-    def to_dense(self) -> tuple[tuple[int, ...], int]:
-        """(ints, den): the 2^n coefficient numerators, indexed by Word.bits, over den."""
-        return self._ints, self._den
-
-    @property
-    def count(self) -> int:
-        """The number of non-zero coefficients."""
-        return len(self._ints) - self._ints.count(0)
-
-    def _reduced(self) -> tuple[int, tuple[int, ...], int]:
-        g = gcd(self._den, *self._ints)
-        return self.degree, tuple(c // g for c in self._ints), self._den // g
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SeriesTerm):
-            return self._reduced() == other._reduced()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._reduced())
-
-    def __repr__(self) -> str:
-        return f"SeriesTerm(degree={self.degree}, body={self.body!r})"
 
 
 class UTMatrix:
@@ -445,44 +391,10 @@ def _factor_mul(series: list[int], a: int, b: int, width: int) -> None:
         series[d] = step(level, width << (d - 1)) + series[d]
 
 
-# byte b -> 0xFF if its top bit is set, else 0x00; and a sign byte -> the top
-# byte of 2^(width-1) plus a 64-bit value of that sign
-_SIGN = bytes(0xFF if b >> 7 else 0 for b in range(256))
-_TOP = bytes(0x7F if b >> 7 else 0x80 for b in range(256))
-
-
-def _unpack(packed: int, degree: int, width: int) -> tuple[int, ...]:
-    """The 2^degree signed slots of packed, low slot first; width is a multiple of 8.
-
-    Slot value v is stored as u = v + 2^(width-1) in `size` little-endian
-    bytes.  For size > 8, v lies in [-2^63, 2^63) exactly when the low 8
-    bytes are v in two's complement, with sign bit s the top bit of byte 7,
-    and the bytes above them are those of 2^(width-1) - s 2^64: 0xFF s in
-    bytes 8..size-2 and 0x7F (s = 1) or 0x80 (s = 0) in the top byte.  These
-    are checked a byte column at a time over all slots; if every slot passes,
-    one struct pass reads each low 8 bytes as a signed q.  Otherwise, and for
-    size <= 8, each slot is read by int.from_bytes less the offset.
-    """
-    size, half = width >> 3, 1 << (width - 1)
-    offset = half  # in every slot, by doubling, so that no slot is negative
-    for t in range(degree):
-        offset += offset << (width << t)
-    data = (packed + offset).to_bytes(size << degree, "little")
-    del packed, offset  # freed before the slots are read
-    if size > 8:
-        sign = data[7::size].translate(_SIGN)
-        if data[size - 1 :: size] == sign.translate(_TOP) and all(
-            data[j::size] == sign for j in range(8, size - 1)
-        ):
-            chunk = Struct("<" + f"q{size - 8}x" * min(256, 1 << degree))
-            return tuple(chain.from_iterable(chunk.iter_unpack(data)))
-    return tuple([int.from_bytes(s, "little") - half for (s,) in iter_unpack(f"{size}s", data)])
-
-
 def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesTerm, ...]:
     """The degree-1..N terms of log(prod_i exp(a_i X + b_i Y)).
 
-    Every series is packed as in _factor_mul, in slots of whole bytes.  Each
+    Every series is packed as in _factor_mul, in slots of _slot_size bytes.  Each
     step is linear, so a packed int is sum_i v_i 2^(i width) exactly, however
     large the v_i: only the final coefficients must fit.  That of
     a word of length d <= N is a sum over k of (-1)^(k-1) M/k times its
@@ -492,7 +404,8 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     scale = lcm(*(q.denominator for factor in factors for q in factor))
     m = lcm(*range(1, degree + 1))
     bound = int(sum(max(abs(a), abs(b)) for a, b in factors) * scale)
-    width = -(-_slot_width(degree, bound, m) // 8) * 8
+    size = _slot_size(_slot_width(degree, bound, m))
+    width = size << 3
     # the scaled weights, the last factor first: P * R_k multiplies from the left
     weights = [(int(a * scale), int(b * scale)) for a, b in reversed(factors)]
     # M * log(1 + A) = A * R_1 by Horner's rule: R_N = c_N, R_k = c_k + A * R_(k+1),
@@ -507,10 +420,10 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
         for d, part in enumerate(horner):
             state[d] -= part
         horner = state
-    # top down, so each part and its bytes are freed before the next is read
-    parts = [_unpack(horner.pop(), d, width) for d in range(degree, 0, -1)]
+    # top down, so each packed part is freed before the next is read
     dens = [factorial(d) * scale**d * m for d in range(degree + 1)]
-    return tuple(SeriesTerm.from_dense(d, parts[-d], dens[d]) for d in range(1, degree + 1))
+    terms = [SeriesTerm._from_packed(d, horner.pop(), size, dens[d]) for d in range(degree, 0, -1)]
+    return tuple(terms[::-1])
 
 
 def series_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:

@@ -9,8 +9,9 @@ from hashlib import sha256
 import pytest
 from click.testing import CliRunner
 
-from bchseries import engine
+from bchseries import engine, terms
 from bchseries.algebra import FreePoly, word_parse
+from bchseries.census import letter_occurrence_profile
 from bchseries.cli import VERIFY_SUITES, _coefficients, main
 from bchseries.engine import MAX_DEGREE, MAX_WORD_LENGTH, PRESET_NAMES, SeriesTerm, preset
 from bchseries.oracle import goldberg_xy
@@ -345,6 +346,61 @@ def drop_degree_five_word(monkeypatch):
 def test_verify_computes_the_series_once(core_runs, suite):
     assert run("verify", suite, "--max", "8").exit_code == 0
     assert core_runs == [8]
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The bytes of every term that to_dense() decodes from here on, in call order."""
+    calls = []
+    decode = terms._decode
+
+    def counted(data, size):
+        calls.append(data)
+        return decode(data, size)
+
+    monkeypatch.setattr(terms, "_decode", counted)
+    return calls
+
+
+class TestDecodes:
+    """Counting reads the bytes alone; a reader of the values decodes each term once."""
+
+    def test_series_terms_decode_nothing(self, decoded):
+        assert len(engine.series_terms(preset("standard"), 8)) == 8
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("census", "--max", "8"),
+            ("verify", "bounds", "--max", "8"),
+            ("terms", "--order", "8", "--quiet"),
+            ("terms", "--order", "8", "--quiet", "--format", "csv"),
+            ("terms", "--order", "8", "--quiet", "--format", "json"),
+        ],
+    )
+    def test_counts_decode_nothing(self, decoded, args):
+        assert run(*args).exit_code == 0
+        assert decoded == []
+
+    def test_the_letter_profile_decodes_nothing(self, decoded):
+        assert letter_occurrence_profile(8).term_count == 124
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "properties", "--max", "8"),
+            ("verify", "dynkin", "--max", "8"),
+            ("terms", "--order", "8", "--format", "csv"),
+            ("terms", "--order", "8", "--format", "json"),
+            ("terms", "--order", "8", "--format", "text"),
+        ],
+    )
+    def test_each_term_is_decoded_at_most_once(self, decoded, args):
+        assert run(*args).exit_code == 0
+        # the calls keep their bytes alive, so equal ids are one term decoded twice
+        assert decoded and len({id(data) for data in decoded}) == len(decoded)
 
 
 # (suite, format) -> (exit code, sha256 of stdout) of `verify <suite> --max 6`

@@ -35,7 +35,7 @@ from bchseries import (
     series_terms,
     word_parse,
 )
-from bchseries import engine
+from bchseries import engine, terms
 from bchseries.engine import (
     PRESET_NAMES,
     SeriesTerm,
@@ -679,8 +679,14 @@ _NARROW = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 1]
 _WIDE = [1 << 63, -(1 << 63) - 1, 1 << 64, -(1 << 64) - (1 << 63)]
 
 
-class TestUnpack:
-    @pytest.mark.parametrize("width", [8, 16, 24, 64, 72, 80, 136, 200])
+def _decoded(values, width):
+    """values packed as the engine packs a part, to bytes, and decoded again."""
+    degree = len(values).bit_length() - 1
+    return SeriesTerm._from_packed(degree, _pack(values, width), width >> 3, 1).to_dense()[0]
+
+
+class TestDecode:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 72, 80, 136, 200])
     def test_round_trip_at_the_slot_extremes(self, width):
         half = 1 << (width - 1)
         extremes = [-half, -1, 0, 1, half - 1] + [v for v in _NARROW + _WIDE if -half <= v < half]
@@ -689,15 +695,15 @@ class TestUnpack:
             cycled = [extremes[i % len(extremes)] for i in range(1 << degree)]
             shuffled = [rng.choice(extremes) for _ in range(1 << degree)]
             for values in (cycled, cycled[::-1], shuffled):
-                assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+                assert _decoded(values, width) == tuple(values)
 
     @pytest.mark.parametrize("width", [72, 80, 136, 200])
     def test_parts_within_64_bits_take_the_struct_pass(self, width, monkeypatch):
-        monkeypatch.setattr(engine, "iter_unpack", None)  # the per-slot decode would fail
+        monkeypatch.setattr(terms, "compress", None)  # re-reading a wide slot would fail
         rng = random.Random(width)
         for degree in range(9):
             values = [rng.choice(_NARROW) for _ in range(1 << degree)]
-            assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+            assert _decoded(values, width) == tuple(values)
 
     @pytest.mark.parametrize("width", [72, 80, 136, 200])
     def test_one_wide_slot_first_in_the_middle_or_last(self, width):
@@ -709,7 +715,7 @@ class TestUnpack:
                 for place in (0, count // 2, count - 1):
                     values = [rng.choice(_NARROW) for _ in range(count)]
                     values[place] = wide
-                    assert engine._unpack(_pack(values, width), degree, width) == tuple(values)
+                    assert _decoded(values, width) == tuple(values)
 
     def test_coefficients_beyond_64_bits_match_the_word_route(self):
         # the degree-15 part of symmetric_sum_difference at N 16 does not fit 64-bit slots
@@ -719,6 +725,44 @@ class TestUnpack:
         assert wide
         for bits in wide:
             assert F(ints[bits], den) == engine.word_coefficient(variant, Word(15, bits))
+
+    def test_slots_of_up_to_8_bytes_take_a_struct_size(self):
+        sizes = [terms._slot_size(bits) for bits in range(1, 129)]
+        assert sorted(set(sizes)) == [1, 2, 4, 8] + list(range(9, 17))
+        assert all(bits <= 8 * size for bits, size in enumerate(sizes, 1))
+
+
+class TestMarks:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_count_and_marks_read_the_nonzero_slots(self, name):
+        # each N packs its parts in its own slot size
+        for degree in range(1, 15):
+            for term in series_terms(preset(name), degree):
+                ints, _ = term.to_dense()
+                assert term.count == len(ints) - ints.count(0)
+                assert list(term.marks()) == [c != 0 for c in ints]
+
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_a_body_round_trips_at_every_slot_size(self, size):
+        # the largest value needs `size` bytes; the others sit at the 64-bit edges
+        top = (1 << (8 * size - 1)) - 1
+        values = [top, -top, 0] + [v for v in _NARROW + _WIDE + [-(1 << 64)] if abs(v) < top]
+        for n in (4, 5):
+            ints = tuple((values * 8)[: 1 << n])
+            body = FreePoly({Word(n, bits): F(c, 3) for bits, c in enumerate(ints) if c})
+            term = SeriesTerm(n, body)
+            assert term.to_dense() == (ints, 3)
+            assert term.body == body and list(term.marks()) == [c != 0 for c in ints]
+            assert term._size == terms._slot_size(size * 8)
+
+    def test_a_zero_body_round_trips(self):
+        for n in range(1, 6):
+            term = SeriesTerm(n, FreePoly.zero())
+            assert term.to_dense() == ((0,) * (1 << n), 1)
+            assert term.count == 0 and term.marks() == bytes(1 << n)
+            assert term.body.is_zero()
+        # the engine's zero part has den 4! 2^4 lcm(1..4) and slots wider than a body's
+        assert SeriesTerm(4, FreePoly.zero()) == series_terms(preset("symmetric"), 4)[3]
 
 
 class TestSlotWidth:
@@ -743,7 +787,7 @@ class TestSlotWidth:
 
 # sha256 of repr([term._reduced() for term in series_terms(preset(name), N)]):
 # every coefficient's exact value.  At N 16 some slots of symmetric_sum_difference
-# exceed 64 bits, so its top parts take the per-slot decode.  The other three
+# exceed 64 bits, so the decode reads those slots again.  The other three
 # N 16 pins run _factor_mul's one-letter, unit and X +- Y steps on parts of 2^16 slots.
 DENSE_SHA256 = {
     ("standard", 13): "a6709f1137ab47363c860254489017c9d7974823a89658f67aa412896e52d8b5",
@@ -804,15 +848,20 @@ class TestSeriesTerm:
         body = term.body
         assert body == FreePoly.from_dense(4, ints, den)
         assert term.body is not body
-        assert term.to_dense() == (ints, den) and term.to_dense()[0] is ints
+        # decoded anew on each call, from the same bytes
+        assert term.to_dense() == (ints, den) and term.to_dense()[0] is not ints
 
-    def test_body_built_term_equals_the_engine_term(self):
+    @pytest.mark.parametrize("degree", [6, 13])
+    def test_body_built_term_equals_the_engine_term(self, degree):
         for name in PRESET_NAMES:
-            for term in series_terms(preset(name), 6):
+            for term in series_terms(preset(name), degree):
                 from_body = SeriesTerm(term.degree, term.body)
                 # the engine's den is d! L^d lcm(1..N); a body's is the lcm of its denominators
                 assert from_body.to_dense() != term.to_dense()
                 assert from_body == term and hash(from_body) == hash(term)
+                # at N 13 every engine slot is wider than 8 bytes, a body's low parts' are not
+                if degree == 13 and term.degree < 4:
+                    assert from_body._size < 8 < term._size
 
     def test_term_from_a_body_has_ints(self):
         term = SeriesTerm(2, FreePoly({w("XY"): F(1, 2), w("YX"): F(-1, 2)}))
@@ -820,7 +869,7 @@ class TestSeriesTerm:
         assert term.count == 2
         assert term == series_terms(preset("standard"), 2)[1]
         assert term != SeriesTerm(2, term.body.scale(2))
-        # the dense form is made at construction, so a body of another degree is refused
+        # the bytes are made at construction, so a body of another degree is refused
         with pytest.raises(ValueError):
             SeriesTerm(3, term.body)
 
