@@ -202,18 +202,28 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # goldberg_direct taking a Y-first word's boundaries as if it began with X
     (
         "oracle.py",
-        "a = (m - (runs[0][0] == Y)) // 2",
+        "a = (m - (bits >> (n - 1))) // 2",
         "a = m // 2",
         (
             f"{ORACLE}::TestGoldbergDirect::test_degree_two",
             f"{ORACLE}::TestGoldbergDirect::test_words_of_unit_runs_match_the_beta_integral",
         ),
     ),
+    # goldberg_direct reading the first letter from the low bit, the last letter
+    (
+        "oracle.py",
+        "(m - (bits >> (n - 1)))",
+        "(m - (bits & 1))",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_degree_two",
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+        ),
+    ),
     # goldberg_direct with the Beta weight's (a + j)! one factor too high
     (
         "oracle.py",
-        "weights[-1] * i // (i + b + 1)",
-        "weights[-1] * (i + 1) // (i + b + 1)",
+        "weight = weight * i // (i + b + 1)",
+        "weight = weight * (i + 1) // (i + b + 1)",
         (
             f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
             f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
@@ -232,21 +242,91 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # goldberg_direct taking each run polynomial once per length, not k_s times
     (
         "oracle.py",
-        "acc *= packed**k",
-        "acc *= packed",
+        "acc *= _packed(polys[s - 1], size) ** k",
+        "acc *= _packed(polys[s - 1], size)",
         (
             f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
             f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
         ),
     ),
+    # goldberg_direct reading H_(s+1) from the table for a run of length s
+    (
+        "oracle.py",
+        "_packed(polys[s - 1], size)",
+        "_packed(polys[s], size)",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+            f"{ORACLE}::TestOracleTables::test_longest_run_at_and_past_the_table[X^20YXY^3X^2]",
+        ),
+    ),
+    # goldberg_direct dividing by (s - 1)! per run of length s, not s!
+    (
+        "oracle.py",
+        "den *= fact[s] ** k",
+        "den *= fact[s - 1] ** k",
+        (
+            f"{ORACLE}::TestGoldbergDirect::test_direct_matches_naive_exhaustively",
+            f"{ORACLE}::TestOracleTables::test_longest_run_at_and_past_the_table[X^21Y^2XY]",
+        ),
+    ),
     # goldberg_direct with slots sized for one run of each length
     (
         "oracle.py",
-        "bound *= sum(map(abs, polys[s - 1])) ** k",
-        "bound *= sum(map(abs, polys[s - 1]))",
+        "bound *= norm**k",
+        "bound *= norm",
         (
             f"{ORACLE}::TestGoldbergDirect::test_matches_block_sum_reference_on_seeded_words",
             f"{ORACLE}::TestGoldbergDirect::test_pinned_long_words",
+        ),
+    ),
+    # goldberg_direct: past the table, slots sized by H_s's signed sum, not its l1 norm
+    (
+        "oracle.py",
+        "else sum(map(abs, polys[s - 1]))",
+        "else sum(polys[s - 1])",
+        (
+            f"{ORACLE}::TestOracleTables::test_longest_run_at_and_past_the_table[X^21Y^2XY]",
+            f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
+        ),
+    ),
+    # _packed: a row past Horner's rule packed without taking its lift off again
+    (
+        "oracle.py",
+        'int.from_bytes(lifted, "little") - _offset(size, len(row))',
+        'int.from_bytes(lifted, "little")',
+        (
+            f"{ORACLE}::TestOracleTables::test_longest_run_at_and_past_the_table[YX^31Y]",
+            f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
+        ),
+    ),
+    # word_texts: where the halves' boundary letters agree, text(u) + text(v)
+    (
+        "algebra.py",
+        "pairs = ((closed, joined[0][last]), (whole, values[1]))",
+        "pairs = ((whole, values[0]), (whole, values[1]))",
+        (
+            "tests/test_algebra.py::TestWordTables::test_texts_match_word_format_on_every_word",
+            "tests/test_cli.py::TestTermsBytes::test_every_preset_and_format[standard-csv]",
+        ),
+    ),
+    # run_class_keys without the first letter
+    (
+        "algebra.py",
+        "map(add, keys, chain(repeat(0, 1 << (n - 1)), repeat(1, 1 << (n - 1))))",
+        "map(add, keys, repeat(0))",
+        (
+            "tests/test_algebra.py::TestWordTables::test_keys_partition_the_words_into_run_classes",
+            "tests/test_cli.py::TestVerifyPropertiesBytes::test_fail_path[text]",
+        ),
+    ),
+    # run_class_keys weighing a run of length r by (n + 1)^(r - 2)
+    (
+        "algebra.py",
+        "power = [(n + 1) ** (r - 1) for r in range(n + 1)]",
+        "power = [(n + 1) ** (r - 2) for r in range(n + 1)]",
+        (
+            "tests/test_algebra.py::TestWordTables::test_keys_partition_the_words_into_run_classes",
+            "tests/test_algebra.py::TestWordTables::test_keys_count_the_runs_of_each_length",
         ),
     ),
     # goldberg without the word-length cap; the oracle-mode cap test would

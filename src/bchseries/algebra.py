@@ -6,6 +6,12 @@ lexicographic order with X < Y, and concatenation is a shift-or.  A WordSum
 is a finite sum of words with non-zero Fraction coefficients, merged by one
 rule; a FreePoly is a WordSum whose multiplication concatenates words.
 Everything here is immutable and exact.
+
+Word.runs() and word_format read one word's runs.  A caller that needs all
+2^n words of a degree reads word_texts (their word_format text) or
+run_class_keys (an integer per run class), which join each word from a
+table of its high half and one of its low half: 2^(n - n//2) + 2^(n//2)
+single-word calls per degree instead of 2^n.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import re
 from enum import IntEnum
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -168,6 +176,90 @@ def word_format(w: Word) -> str:
         bits &= (1 << rest) - 1
         n = rest
     return "".join(text)
+
+
+def word_texts(n: int, keep: Sequence[object]) -> Iterator[str]:
+    """word_format(Word(n, bits)) for each bits with keep[bits] true, in bits order.
+
+    The texts are joined from two half tables, and a text is built only for
+    a word that is kept.
+    """
+    if not n:
+        return compress([""], keep)
+    return _joined_halves(
+        n,
+        lambda runs: word_format(Word.from_runs(runs)),
+        lambda letter, r: f"{'XY'[letter]}^{r}",
+        keep,
+    )
+
+
+def run_class_keys(n: int) -> Iterator[int]:
+    """One integer per degree-n word (n >= 1), in bits order, equal exactly within a run class.
+
+    A run class is a first letter and a multiset of run lengths: the words
+    that permute each other's runs.  The key is first + 2 sum_runs
+    (n + 1)^(r - 1), whose base-(n + 1) digits count the runs of each
+    length r, so two keys are equal exactly when the classes are.  The
+    first letter is the top bit: 0 for the first half of the words.
+    """
+    power = [(n + 1) ** (r - 1) for r in range(n + 1)]
+    keys = _joined_halves(
+        n, lambda runs: 2 * sum(power[r] for _, r in runs), lambda letter, r: 2 * power[r]
+    )
+    return map(add, keys, chain(repeat(0, 1 << (n - 1)), repeat(1, 1 << (n - 1))))
+
+
+def _joined_halves(
+    n: int, value: Callable, run: Callable, keep: Sequence[object] | None = None
+) -> Iterator:
+    """value(runs of w) for each degree-n word w (n >= 1) in bits order, joined from its halves.
+
+    Word(n, bits) is u followed by v: u = bits >> l holds its high n - l
+    letters and v its low l = n // 2.  value takes a sequence of (letter,
+    length) runs and is additive over a split between runs; run(letter, r)
+    is the value of one run.  Each half is read once: u as (value(u),
+    value(u without its last run), that run's length), v as (value(v),
+    value(v without its first run), that run's length).  Where u ends in
+    the letter that v starts with, the two boundary runs are one run:
+    closed(u) + run(letter, r_u + r_v) + rest(v).  Otherwise the value is
+    value(u) + value(v).  Each u's block of 2^l values is two list
+    comprehensions, one per first letter of v.  With keep, only the words
+    whose entry is true get a value.
+    """
+    h, l = n - n // 2, n // 2
+    highs = []
+    for u in range(1 << h):
+        runs = Word(h, u).runs()
+        highs.append((value(runs), value(runs[:-1]), runs[-1][1]))
+    if not l:
+        wholes = (whole for whole, _, _ in highs)
+        return wholes if keep is None else compress(wholes, keep)
+    mid = 1 << (l - 1)  # the low halves below mid start with X
+    values, joined = [], []
+    for letter, part in enumerate((range(mid), range(mid, 2 * mid))):
+        lows = [Word(l, v).runs() for v in part]
+        values.append([value(runs) for runs in lows])
+        rests = [(runs[0][1], value(runs[1:])) for runs in lows]
+        # joined[letter][r_u]: the run of r_u + r_v letters and the rest of each v
+        joined.append(
+            [[run(letter, r + first) + rest for first, rest in rests] for r in range(h + 1)]
+        )
+
+    flags = None if keep is None else iter(keep)
+
+    def blocks() -> Iterator[list]:
+        for u, (whole, closed, last) in enumerate(highs):
+            if u & 1:  # u ends in Y, so the X-led v start a run and the Y-led continue it
+                pairs = ((whole, values[0]), (closed, joined[1][last]))
+            else:
+                pairs = ((closed, joined[0][last]), (whole, values[1]))
+            for head, tails in pairs:
+                if flags is not None:
+                    tails = compress(tails, islice(flags, mid))
+                yield [head + tail for tail in tails]
+
+    return chain.from_iterable(blocks())
 
 
 def interchange(w: Word) -> Word:

@@ -8,8 +8,9 @@ run-exponent permutation invariance, cyclic-shift zero sums, interchange and
 reversal sign rules, palindrome-concatenation zeros, and the vanishing rule
 for even-length words with an odd number of runs).  The counts read a term's
 non-zero marks and the checks its dense ints, both indexed by Word.bits:
-interchange is an XOR with the all-ones mask, reversal a bit reversal, and
-content, rotation and run classes are keyed by the bits.
+interchange is an XOR with the all-ones mask, reversal a bit reversal,
+content and rotation classes are keyed by the bits, and run classes by
+algebra.run_class_keys, one integer per word joined from two half tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Letter, Word
+from .algebra import Word, run_class_keys
 from .engine import PRESETS, SeriesTerm, VariantPreset, series_terms
 
 
@@ -110,12 +111,6 @@ PROPERTY_NAMES: tuple[str, ...] = (
 )
 
 
-def _run_class(w: Word) -> tuple[Letter, tuple[int, ...]]:
-    """The first letter and sorted run multiplicities: the words that permute w's runs."""
-    runs = w.runs()
-    return runs[0][0], tuple(sorted(mult for _, mult in runs))
-
-
 def property_suite(n: int) -> PropertyReport:
     """Run the eight coefficient-symmetry checks at degree n (n >= 2)."""
     if n < 2:
@@ -164,8 +159,8 @@ def _property_report(term: SeriesTerm) -> PropertyReport:
         "fixed_content_sum", ((1 << (n - k)) - 1 for k, total in enumerate(content_sums) if total)
     )
 
-    classes = [_run_class(Word(n, bits)) for bits in range(size)]
-    class_value: dict[tuple[Letter, tuple[int, ...]], int] = {}
+    classes = list(run_class_keys(n))
+    class_value: dict[int, int] = {}
     mixed = set()
     for key, c in zip(classes, v):
         if class_value.setdefault(key, c) != c:

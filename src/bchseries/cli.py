@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import click
 
-from .algebra import Word, all_words, format_sum, word_format, word_parse
+from .algebra import Word, all_words, format_sum, word_format, word_parse, word_texts
 from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_sweep
 from .engine import (
     MAX_DEGREE,
@@ -99,11 +99,10 @@ def terms(variant: str, order: int, fmt: str, quiet: bool) -> None:
 
 def _coefficients(term: SeriesTerm) -> Iterator[tuple[str, int, int]]:
     """(word text, num, den) in lowest terms for each non-zero coefficient, in bits order."""
-    n, (ints, den) = term.degree, term.to_dense()
-    for bits, c in enumerate(ints):
-        if c:
-            g = gcd(c, den)
-            yield word_format(Word(n, bits)), c // g, den // g
+    ints, den = term.to_dense()
+    for text, c in zip(word_texts(term.degree, ints), filter(None, ints)):
+        g = gcd(c, den)
+        yield text, c // g, den // g
 
 
 def _terms_json(variant: str, series: Iterable[SeriesTerm]) -> Iterator[str]:

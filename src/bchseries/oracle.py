@@ -11,7 +11,11 @@ and Y->X boundaries; so g(w) depends only on w's first letter and the
 multiset of its run lengths.  goldberg_direct evaluates it per run class, in
 exact integers: one packed power G_s^(k_s) for the k_s runs of each length
 s above 1, and the boundary factor t^a (t - 1)^b integrated against each
-power of t by the Beta function.
+power of t by the Beta function.  It reads the run lengths from the word's
+binary digits in one pass, and the factorials to 128! and s! G_s with its
+l1 norm for s <= 20 from module tables.  The coefficients of s! G_s are
+(-1)^(s-1-j) (j+1)! S(s, j+1), Stirling numbers of the second kind, so its
+l1 norm is sum_k k! S(s, k).
 
 goldberg_direct_naive, for short words only, takes the explicit block sum
 
@@ -27,9 +31,9 @@ the Bernoulli closed form for X^a Y^b.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import Word, X, Y
@@ -71,6 +75,23 @@ def collapse(bs: BlockSeq) -> Word:
     return Word.from_runs(runs)
 
 
+def _next_run_poly(h: Sequence[int]) -> tuple[int, ...]:
+    """H_s from H_(s-1): the coefficient of t^j is (j + 1) (H_(s-1)[j - 1] - H_(s-1)[j])."""
+    return tuple(map(mul, range(1, len(h) + 2), map(sub, (0, *h), (*h, 0))))
+
+
+# 0!..128!: n! for every word of up to 128 letters
+_FACTORIALS = tuple(accumulate(range(1, 129), mul, initial=1))
+# H_1..H_20 and their l1 norms; a longer run continues the recurrence from
+# H_20.  The norms take 3-5% off goldberg_direct on 16-64 letter random words,
+# against summing each row per call (faster in 33 and 35 of two sets of 40
+# paired passes)
+_RUN_POLYS = tuple(accumulate(range(19), lambda h, _: _next_run_poly(h), initial=(1,)))
+_RUN_NORMS = tuple(sum(map(abs, h)) for h in _RUN_POLYS)
+# the longest row _packed builds by Horner's rule; _packed gives the timings
+_HORNER_MAX_ROW = 24
+
+
 def goldberg_direct(w: Word) -> Fraction:
     """The coefficient of w in the standard-product series, from Goldberg's integral.
 
@@ -88,6 +109,12 @@ def goldberg_direct(w: Word) -> Fraction:
     signed bits, and Q is one integer power per distinct run length above
     1; a word whose runs all have length 1 has Q = 1 and one slot.
 
+    The runs are read in one pass over the word's binary digits, with no
+    Python step per run: bits ^ bits >> 1 has a one wherever a run starts
+    (the top bit set by hand), so its digits split at the ones into one
+    string of s - 1 zeros per run of length s.  The factorials, and H_s
+    with its norm for s <= 20, are module tables.
+
     The slots never carry.  Each coefficient of Q is at most its l1 norm,
     and the l1 norm is submultiplicative, so every coefficient is at most
     prod_s ||H_s||^(k_s) in absolute value.  Packing evaluates a polynomial
@@ -97,46 +124,78 @@ def goldberg_direct(w: Word) -> Fraction:
     (-2^(width-1), 2^(width-1)), so adding 2^(width-1) to every slot makes
     each one an unsigned digit in base 2^width.
     """
-    n = w.length
+    n, bits = w.length, w.bits
     if n < 1:
         raise ValueError("the coefficient of the empty word is undefined")
-    runs = w.runs()
-    m = len(runs)
-    lengths = [s for _, s in runs]
+    gaps = format(bits ^ bits >> 1 | 1 << (n - 1), "b").split("1")[1:]
+    m = len(gaps)
     # the m - 1 boundaries alternate X->Y (a of them) and Y->X (b of them)
-    a = (m - (runs[0][0] == Y)) // 2
+    a = (m - (bits >> (n - 1))) // 2
     b = m - 1 - a
-    # the coefficient of t^j in H_s is (j + 1) (H_(s-1)[j - 1] - H_(s-1)[j])
-    polys = [[1]]
-    for _ in range(1, max(lengths)):
-        h = polys[-1]
-        polys.append([i * (p - q) for i, p, q in zip(range(1, len(h) + 2), [0] + h, h + [0])])
-    classes = [(s, lengths.count(s)) for s in set(lengths) if s > 1]
-    bound, den = 1, factorial(n)
+    classes = [(len(gap) + 1, gaps.count(gap)) for gap in set(gaps) if gap]
+    fact = _FACTORIALS
+    if n >= len(fact):
+        fact = tuple(accumulate(range(1, n + 1), mul, initial=1))
+    polys = _RUN_POLYS
+    bound, den = 1, fact[n]
     for s, k in classes:
-        bound *= sum(map(abs, polys[s - 1])) ** k
-        den *= factorial(s) ** k
+        if s > len(polys):
+            polys = list(polys)
+            while len(polys) < s:
+                polys.append(_next_run_poly(polys[-1]))
+        # past the table only the run lengths present are summed: the norms
+        # of every row H_21..H_128 would add about 0.6 ms to X^128
+        norm = _RUN_NORMS[s - 1] if s <= len(_RUN_NORMS) else sum(map(abs, polys[s - 1]))
+        bound *= norm**k
+        den *= fact[s] ** k
     size = bound.bit_length() // 8 + 1
     width = 8 * size
     acc = 1
     for s, k in classes:
-        packed = 0
-        for c in reversed(polys[s - 1]):
-            packed = (packed << width) + c
-        acc *= packed**k
+        acc *= _packed(polys[s - 1], size) ** k
 
-    weights = [factorial(n) * factorial(a) * factorial(b) // factorial(m)]
-    for i in range(a + 1, a + n - m + 1):
-        weights.append(weights[-1] * i // (i + b + 1))
-    # 2^(width-1) added to each of the n - m + 1 slots
-    acc += int.from_bytes((bytes(size - 1) + b"\x80") * len(weights), "little")
-    mask = (1 << width) - 1
-    slots = []
-    for _ in weights:
-        slots.append(acc & mask)
+    count = n - m + 1
+    acc += _offset(size, count)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    weight = fact[n] * fact[a] * fact[b] // fact[m]
+    total = 0
+    for i in range(a + 1, a + count + 1):
+        total += weight * ((acc & mask) - half)
         acc >>= width
-    total = sum(map(mul, weights, slots)) - (sum(weights) << (width - 1))
+        # the weight after the last slot need not be integral; it is not used
+        weight = weight * i // (i + b + 1)
     return Fraction(-total if b % 2 else total, den)
+
+
+def _packed(row: Sequence[int], size: int) -> int:
+    """The polynomial with coefficients row, one per signed slot of size bytes.
+
+    Two routes, split at the measured crossover.  Horner's rule shifts the
+    whole value once per coefficient, quadratic in the row's bytes; the other
+    route writes one to_bytes per coefficient, each slot lifted by
+    2^(8 size - 1), joins them and takes the lift off once, linear in the
+    bytes but with a larger fixed cost.  Timed on H_s at the slot size of a
+    lone run of length s and at twice it (2-vCPU Xeon VM, Python 3.11.7),
+    Horner is 4.7x faster at s = 2, 2.5x at s = 10, 1.35-1.6x at s = 20 and
+    1.07-1.3x at s = 24; the two meet at s = 26-32 and to_bytes wins past
+    them: Horner takes 48 us and to_bytes 15 for H_64, 388 and 74 for H_128.
+    The rows word-queries packs are H_2..H_20 in slots of 4-14 bytes; there
+    Horner takes 18% off goldberg_direct's pass over the stream's 16-64
+    letter words, against to_bytes alone.
+    """
+    if len(row) <= _HORNER_MAX_ROW:
+        packed = 0
+        for c in reversed(row):
+            packed = (packed << 8 * size) + c
+        return packed
+    half = 1 << (8 * size - 1)
+    lifted = b"".join([(c + half).to_bytes(size, "little") for c in row])
+    return int.from_bytes(lifted, "little") - _offset(size, len(row))
+
+
+def _offset(size: int, count: int) -> int:
+    """2^(8 size - 1) in each of count slots of size bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
 def enumerate_block_seqs(total: int, k: int) -> Iterator[BlockSeq]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 import types
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from bchseries import (
     word_format,
     word_parse,
 )
-from bchseries.algebra import format_sum
+from bchseries.algebra import format_sum, run_class_keys, word_texts
 from conftest import free_polys, small_fractions
 
 w = word_parse
@@ -161,6 +162,53 @@ class TestRuns:
         with pytest.raises(ValueError):
             Word.from_runs([(X, 0)])
         assert Word.from_runs([(X, 2), (X, 1)]) == w("X^3")
+
+
+def _run_class(word: Word) -> tuple[Letter, tuple[int, ...]]:
+    """The first letter and the sorted run lengths: the words that permute word's runs."""
+    runs = word.runs()
+    return runs[0][0], tuple(sorted(mult for _, mult in runs))
+
+
+class TestWordTables:
+    """The half-table joins against the single-word functions."""
+
+    def test_texts_match_word_format_on_every_word(self):
+        for n in range(15):
+            keep = [1] * (1 << n)
+            assert list(word_texts(n, keep)) == [word_format(word) for word in all_words(n)], n
+
+    def test_texts_of_kept_words_only(self):
+        rng = random.Random(23)
+        for n in range(15):
+            keep = [rng.choice((0, 0, 1, -7)) for _ in range(1 << n)]
+            expected = [word_format(word) for word, k in zip(all_words(n), keep) if k]
+            assert list(word_texts(n, keep)) == expected, n
+
+    def test_texts_join_the_boundary_runs(self):
+        # X^5Y^4 splits into X^5 and Y^4, X^9 into X^5 and X^4: one run across the halves
+        texts = list(word_texts(9, [1] * 512))
+        assert texts[w("X^5Y^4").bits] == "X^5Y^4"
+        assert texts[w("X^9").bits] == "X^9"
+        assert texts[w("YX^7Y").bits] == "YX^7Y"
+
+    def test_keys_partition_the_words_into_run_classes(self):
+        for n in range(1, 15):
+            keys = list(run_class_keys(n))
+            assert len(keys) == 1 << n
+            by_key: dict[int, tuple] = {}
+            by_class: dict[tuple, int] = {}
+            for key, word in zip(keys, all_words(n)):
+                cls = _run_class(word)
+                assert by_key.setdefault(key, cls) == cls, (n, word)
+                assert by_class.setdefault(cls, key) == key, (n, word)
+
+    def test_keys_count_the_runs_of_each_length(self):
+        # first letter + 2 sum_runs (n + 1)^(r - 1): a digit in base n + 1 per run length
+        keys = list(run_class_keys(12))
+        assert keys[w("X^11Y").bits] == 2 * (13**10 + 1)
+        assert keys[w("YX^10Y").bits] == 1 + 2 * (13**9 + 2)
+        assert keys[w("Y^12").bits] == 1 + 2 * 13**11
 
 
 class TestWordBits:

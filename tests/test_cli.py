@@ -448,3 +448,59 @@ class TestVerifyBytes:
     @pytest.mark.parametrize("suite, fmt", sorted(FAIL_BYTES))
     def test_fail_path(self, suite, fmt, drop_degree_five_word):
         assert verify_bytes(suite, fmt) == FAIL_BYTES[suite, fmt]
+
+
+@pytest.fixture
+def perturb_degree_twelve_word(monkeypatch):
+    """Serve the standard series with 1 added to the coefficient of XY^11.
+
+    XY^11 shares its run class (X first, runs 1 and 11) with X^11Y, the first
+    word of the class in bits order, so X^11Y is the exponent_permutation
+    witness and its key holds the digit 13^10.
+    """
+    graded = engine._graded_series
+    standard = tuple(preset("standard").factors)
+    word = word_parse("XY^11")
+
+    def perturbed(factors, degree):
+        terms = graded(factors, degree)
+        if factors != standard or degree < 12:
+            return terms
+        body = dict(terms[11].body.items())
+        body[word] = body.get(word, Fraction(0)) + 1
+        return terms[:11] + (SeriesTerm(12, FreePoly(body)),) + terms[12:]
+
+    monkeypatch.setattr(engine, "_graded_series", perturbed)
+
+
+# format -> (exit code, sha256 of stdout) of `verify properties --max 12`
+PROPERTIES_12_PASS = {
+    "text": (0, "e876b6854d665f96dc211256b464bd167a9a2f89a1dea02b166b6c6496b27a25"),
+    "json": (0, "313d86714e7c2b9c6ff564ddcbe66fd60eef5771ec11e80b8ff31152304a3461"),
+}
+# the same with the coefficient of XY^11 perturbed
+PROPERTIES_12_FAIL = {
+    "text": (1, "2ce28421d52a6801f7fd68324e410201caef46905ea406bf355194264507b4c8"),
+    "json": (1, "046a62650520b6baf34a99a3a7c21c7f5331055f8d33549ecab09127cb9c94a9"),
+}
+
+
+def properties_12_bytes(fmt: str) -> tuple[int, str]:
+    result = CliRunner().invoke(main, ["verify", "properties", "--max", "12", "--format", fmt])
+    return result.exit_code, sha256(result.stdout_bytes).hexdigest()
+
+
+class TestVerifyPropertiesBytes:
+    """Degree 12 reaches runs of two-digit length, and the run-class keys' largest digits."""
+
+    @pytest.mark.parametrize("fmt", sorted(PROPERTIES_12_PASS))
+    def test_pass_path(self, fmt):
+        assert properties_12_bytes(fmt) == PROPERTIES_12_PASS[fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(PROPERTIES_12_FAIL))
+    def test_fail_path(self, fmt, perturb_degree_twelve_word):
+        assert properties_12_bytes(fmt) == PROPERTIES_12_FAIL[fmt]
+
+    def test_fail_path_names_the_first_word_of_the_class(self, perturb_degree_twelve_word):
+        result = run("verify", "properties", "--max", "12")
+        assert "FAIL n=12 exponent_permutation witness=X^11Y\n" in result.output

@@ -25,7 +25,7 @@ from bchseries import (
     word_coefficient,
     word_parse,
 )
-from bchseries import engine
+from bchseries import engine, oracle
 from bchseries.engine import PRESET_NAMES, VariantPreset, exp_factor, preset
 from bchseries.oracle import Block, enumerate_block_seqs
 
@@ -305,6 +305,52 @@ class TestGoldbergDirect:
         assert engine.MAX_WORD_LENGTH == 128
         assert goldberg_direct(w("X^127Y")) == goldberg_xy(127, 1)
         assert goldberg_direct(w("X^126Y^2")) == goldberg_xy(126, 2)
+
+
+class TestOracleTables:
+    """The module tables of Goldberg's integral against independent routes."""
+
+    def test_factorials(self):
+        assert oracle._FACTORIALS == tuple(factorial(i) for i in range(129))
+
+    def test_run_polys_are_signed_surjection_rows(self):
+        # H_s[j] = (-1)^(s-1-j) (j+1)! S(s, j+1), so ||H_s||_1 = sum_k k! S(s, k);
+        # the table holds s <= 20, the recurrence continues it to s = 40
+        rows = engine._surjection_rows(40)
+        polys = list(oracle._RUN_POLYS)
+        assert len(polys) == len(oracle._RUN_NORMS) == 20
+        while len(polys) < 40:
+            polys.append(oracle._next_run_poly(polys[-1]))
+        for s, row in enumerate(polys, 1):
+            assert list(row) == [(-1) ** (s - 1 - j) * rows[s][j + 1] for j in range(s)], s
+            assert sum(map(abs, row)) == sum(rows[s]), s
+        for s, norm in enumerate(oracle._RUN_NORMS, 1):
+            assert norm == sum(rows[s]), s
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "X^20YXY^3X^2",
+            "YX^20Y^2XYX",
+            "X^21Y^2XY",
+            "Y^21XY^2X^3",
+            "X^2Y^20X^21Y",
+            "XY^31X^5Y^2",
+            "YX^31Y",
+            "YX^127",
+        ],
+    )
+    def test_longest_run_at_and_past_the_table(self, text):
+        # X^127Y, X^128 and Y^128 are in test_matches_block_sum_reference_at_the_cap
+        word = w(text)
+        assert goldberg_direct(word) == _block_sum_reference(word)
+
+    def test_words_past_the_factorial_table(self):
+        # a word longer than 128 letters reads its factorials from a longer table
+        assert goldberg_direct(w("X^129Y")) == goldberg_xy(129, 1)
+        assert goldberg_direct(w("X^128Y^2")) == goldberg_xy(128, 2)
+        word = w("Y^2X^130")
+        assert goldberg_direct(word) == goldberg_xy_images(130, 2)[word]
 
 
 class TestReinschMatrices:
