@@ -337,6 +337,56 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "word_parse(word_text)",
         ("tests/test_cli.py::TestGoldberg::test_engine_word_above_cap_is_usage_error",),
     ),
+    # _integer_form: the letter weight bound C from each factor's smaller weight
+    (
+        "engine.py",
+        "bound += max(map(abs, pair))",
+        "bound += min(map(abs, pair))",
+        (
+            f"{ENGINE}::TestEngineCoefficient::test_examples",
+            f"{ENGINE}::TestGoldenTerms::test_standard_degree_five",
+        ),
+    ),
+    # build_generator with its two letter weights swapped
+    (
+        "engine.py",
+        "generator_combination(1 - letter, letter, degree)",
+        "generator_combination(letter, 1 - letter, degree)",
+        (
+            f"{ENGINE}::TestGenerators::test_build_generator_x",
+            f"{ENGINE}::TestGenerators::test_generator_is_the_unit_combination[X]",
+        ),
+    ),
+    # _power_series, and so exp and log, without the k = 1 term
+    (
+        "engine.py",
+        "for k in range(1, m.order):",
+        "for k in range(2, m.order):",
+        (
+            f"{ENGINE}::TestExpLog::test_exp_truncates_at_first_power",
+            f"{ENGINE}::TestExpLog::test_log_inverts_exp_on_generators",
+        ),
+    ),
+    # FreePoly.__sub__ adding its right operand instead of subtracting it
+    (
+        "algebra.py",
+        "((word, -coeff) for word, coeff in other._terms.items())",
+        "((word, coeff) for word, coeff in other._terms.items())",
+        (
+            "tests/test_algebra.py::TestFreePoly::test_difference_keeps_left_then_right_words",
+            "tests/test_algebra.py::TestFreePoly::test_cancelling_words_dropped",
+        ),
+    ),
+    # word_parse rejecting a word of exactly max_length letters
+    (
+        "algebra.py",
+        "n + mult > max_length",
+        "n + mult >= max_length",
+        (
+            "tests/test_algebra.py::TestWordParse::test_max_length",
+            "tests/test_cli.py::TestGoldberg::test_every_mode_reaches_past_the_series_cap",
+        ),
+    ),
     # _merge keeping a word whose sum is zero
     (
         "algebra.py",

@@ -142,26 +142,22 @@ def word_parse(text: str, max_length: int | None = None) -> Word:
     With max_length, a word longer than that is rejected before its bits are
     built, so a huge exponent costs no memory.
     """
-    bits = 0
+    runs = []
     n = 0
     pos = 0
     while pos < len(text):
         m = _WORD_TOKEN.match(text, pos)
         if m is None:
             raise WordParseError(text, pos, "expected X, Y, X^k, or Y^k")
-        letter = X if m.group(1) == "X" else Y
         mult = 1 if m.group(2) is None else int(m.group(2))
         if mult < 1:
             raise WordParseError(text, pos, "exponent must be >= 1")
         if max_length is not None and n + mult > max_length:
             raise WordParseError(text, pos, f"the word is longer than {max_length} letters")
-        if letter == Y:
-            bits = (bits << mult) | ((1 << mult) - 1)
-        else:
-            bits <<= mult
+        runs.append((X if m.group(1) == "X" else Y, mult))
         n += mult
         pos = m.end()
-    return Word(n, bits)
+    return Word.from_runs(runs)
 
 
 def word_format(w: Word) -> str:
@@ -293,22 +289,22 @@ def all_words(n: int) -> Iterator[Word]:
 
 
 def _merge(
-    out: dict[Word, Fraction], pairs: Iterable[tuple[Word, Fraction]], subtract: bool = False
+    out: dict[Word, Fraction], pairs: Iterable[tuple[Word, Fraction]]
 ) -> dict[Word, Fraction]:
     """Add each non-zero (word, coeff) pair into out, deleting a word whose sum is zero.
 
     The one merge rule of a word sum: every constructor and operator that
     adds coefficients goes through it, and new words keep their first
-    insertion order.  With subtract, each coeff is subtracted instead, so a
-    difference builds no negated copy of its right operand.
+    insertion order.  A difference passes its right operand's pairs negated
+    one at a time, so it builds no negated copy of that operand.
     """
     get = out.get
     for word, coeff in pairs:
         prev = get(word)
         if prev is None:
-            out[word] = -coeff if subtract else coeff
+            out[word] = coeff
         else:
-            total = prev - coeff if subtract else prev + coeff
+            total = prev + coeff
             if total:
                 out[word] = total
             else:
@@ -424,7 +420,8 @@ class FreePoly(WordSum):
     def __sub__(self, other: "FreePoly") -> "FreePoly":
         if not isinstance(other, FreePoly):
             return NotImplemented
-        return FreePoly._raw(_merge(dict(self._terms), other._terms.items(), subtract=True))
+        negated = ((word, -coeff) for word, coeff in other._terms.items())
+        return FreePoly._raw(_merge(dict(self._terms), negated))
 
     def __neg__(self) -> "FreePoly":
         return FreePoly._raw({w: -c for w, c in self._terms.items()})

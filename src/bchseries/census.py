@@ -57,31 +57,27 @@ def census_sweep(max_n: int, variant: VariantPreset) -> list[CensusRecord]:
     return [_census_record(term, variant) for term in series_terms(variant, max_n)[1:]]
 
 
+_CENSUS_FIELDS = ("n", "count", "bound", "ratio_num", "ratio_den", "variant")
+
+
+def _census_rows(records: list[CensusRecord]) -> Iterator[tuple]:
+    """Each record's values in _CENSUS_FIELDS order; a record of bound 0 has the ratio 0/1."""
+    for r in records:
+        ratio = r.ratio if r.ratio is not None else Fraction(0)
+        yield r.n, r.count, r.bound, str(ratio.numerator), str(ratio.denominator), r.variant
+
+
 def census_to_csv(records: list[CensusRecord]) -> str:
     """CSV with header n,count,bound,ratio_num,ratio_den,variant."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "count", "bound", "ratio_num", "ratio_den", "variant"])
-    for r in records:
-        ratio = r.ratio if r.ratio is not None else Fraction(0)
-        writer.writerow([r.n, r.count, r.bound, ratio.numerator, ratio.denominator, r.variant])
+    writer.writerow(_CENSUS_FIELDS)
+    writer.writerows(_census_rows(records))
     return buffer.getvalue()
 
 
 def census_to_json(records: list[CensusRecord]) -> str:
-    rows = []
-    for r in records:
-        ratio = r.ratio if r.ratio is not None else Fraction(0)
-        rows.append(
-            {
-                "n": r.n,
-                "count": r.count,
-                "bound": r.bound,
-                "ratio_num": str(ratio.numerator),
-                "ratio_den": str(ratio.denominator),
-                "variant": r.variant,
-            }
-        )
+    rows = [dict(zip(_CENSUS_FIELDS, row)) for row in _census_rows(records)]
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -216,8 +212,7 @@ def _property_report(term: SeriesTerm) -> PropertyReport:
         checks["palindrome_concatenation"] = CheckResult(True, None)
         checks["odd_run_count_even_length"] = CheckResult(True, None)
 
-    ordered = {name: checks[name] for name in PROPERTY_NAMES}
-    return PropertyReport(n=n, checks=ordered)
+    return PropertyReport(n=n, checks=checks)
 
 
 def _is_prime(n: int) -> bool:

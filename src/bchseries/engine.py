@@ -2,12 +2,13 @@
 
 The paper's route: with X_N and Y_N the (N+1)x(N+1) matrices carrying the
 letters X and Y on the first superdiagonal, the degree-1..N terms are the
-first row of log(prod_i exp(a_i X_N + b_i Y_N)).  Both exp and log are finite
-sums because every strictly upper-triangular matrix of order N+1 is nilpotent
-of index <= N+1.  Entries are genuinely noncommutative FreePoly values, so no
-positional decoration of the generators is needed.  UTMatrix, nilpotent_exp,
-nilpotent_log, factor_matrix and product_matrix implement this route as
-written; it is the spec route that series_terms is tested against.
+first row of log(prod_i exp(a_i X_N + b_i Y_N)).  Both exp and log are one
+finite power series, _power_series, because every strictly upper-triangular
+matrix of order N+1 is nilpotent of index <= N+1.  Entries are genuinely
+noncommutative FreePoly values, so no positional decoration of the
+generators is needed.  UTMatrix, nilpotent_exp, nilpotent_log, factor_matrix
+and product_matrix implement this route as written; it is the spec route
+that series_terms is tested against.
 
 Every matrix in that pipeline is upper-triangular Toeplitz: entry (i, j)
 depends only on j - i and is homogeneous of word degree j - i.  Such a matrix
@@ -18,9 +19,9 @@ lcm of the factor denominators, and by M = lcm(1..N) in the logarithm, and
 packed into one int whose fixed-width slots hold its 2^d coefficients.  Each
 factor exp(a X + b Y) multiplies a series from the left by one big-int step
 per prefix level (_factor_mul), chosen once by the shape of its weights aL
-and bL, which are scaled once per series: a one-letter factor multiplies
-once, X + Y and X - Y once for both letters, none of them for a unit
-weight, and any other pair twice.  M * log(1 + A), with A = P - 1
+and bL, which _integer_form scales once per series: a one-letter factor
+multiplies once, X + Y and X - Y once for both letters, none of them for a
+unit weight, and any other pair twice.  M * log(1 + A), with A = P - 1
 and P the product, is evaluated by Horner's rule, each step A * R = P * R - R
 with R passed through every factor, so P is never stored: about 2^(N+3) slots
 of work per factor in about N^3/6 operations.
@@ -38,15 +39,17 @@ matrices (J. Math. Phys. 41 (2000) 2434) replace X and Y by scalar
 (n+1)x(n+1) matrices that carry the letters of one word w of length n on
 their superdiagonal; entry (0, n) of the logarithm of the product is then
 the coefficient of w.  word_coefficient evaluates that entry as an integer
-path sum in one pass over the word, for any preset, in time polynomial in n;
-engine_coefficient is its standard-product case and runs no series.
+path sum in one pass over the word, for any preset, in time polynomial in n,
+from the same _integer_form as the series, so the two routes scale a preset
+alike; engine_coefficient is its standard-product case and runs no series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import Coeff, FreePoly, Letter, Word
 from .terms import SeriesTerm, _slot_size
@@ -183,22 +186,14 @@ class UTMatrix:
         return hash(self.rows)
 
     def __add__(self, other: "UTMatrix") -> "UTMatrix":
-        self._check_order(other)
-        return UTMatrix(
-            [
-                [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "UTMatrix") -> "UTMatrix":
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op: Callable, other: "UTMatrix") -> "UTMatrix":
         self._check_order(other)
-        return UTMatrix(
-            [
-                [a - b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.rows, other.rows)
-            ]
-        )
+        return UTMatrix([list(map(op, *rows)) for rows in zip(self.rows, other.rows)])
 
     def scale(self, scalar: Coeff) -> "UTMatrix":
         return UTMatrix([[entry.scale(scalar) for entry in row] for row in self.rows])
@@ -237,37 +232,21 @@ class UTMatrix:
         )
 
     def has_unit_diagonal(self) -> bool:
-        one = FreePoly.one()
-        return all(
-            (self.rows[i][j] == one if i == j else self.rows[i][j].is_zero())
-            for i in range(self.order)
-            for j in range(self.order)
-            if j <= i
-        )
+        return (self - UTMatrix.identity(self.order)).is_strictly_upper()
 
     def is_graded(self) -> bool:
-        """Whether every entry (i, j) is homogeneous of word degree j - i."""
-        for i in range(self.order):
-            for j in range(self.order):
-                entry = self.rows[i][j]
-                if j < i:
-                    if not entry.is_zero():
-                        return False
-                elif any(w.length != j - i for w in entry.words()):
-                    return False
-        return True
+        """Whether every entry (i, j) is homogeneous of word degree j - i, so zero where j < i."""
+        return all(
+            w.length == j - i
+            for i, row in enumerate(self.rows)
+            for j, entry in enumerate(row)
+            for w in entry.words()
+        )
 
 
 def build_generator(letter: Letter, degree: int) -> UTMatrix:
     """The (N+1)x(N+1) generator: the given letter on the first superdiagonal."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    mono = FreePoly.from_letter(letter)
-    zero = FreePoly.zero()
-    order = degree + 1
-    return UTMatrix(
-        [[mono if j == i + 1 else zero for j in range(order)] for i in range(order)]
-    )
+    return generator_combination(1 - letter, letter, degree)
 
 
 def generator_combination(a: Coeff, b: Coeff, degree: int) -> UTMatrix:
@@ -282,29 +261,28 @@ def generator_combination(a: Coeff, b: Coeff, degree: int) -> UTMatrix:
     )
 
 
+def _power_series(m: UTMatrix, coefficient: Callable[[int], Fraction]) -> UTMatrix:
+    """sum_{k>=1} coefficient(k) M^k for a strictly upper-triangular M: M^k = 0 past its degree."""
+    acc = UTMatrix.zeros(m.order)
+    power = None
+    for k in range(1, m.order):
+        power = m if power is None else power @ m
+        acc = acc + power.scale(coefficient(k))
+    return acc
+
+
 def nilpotent_exp(m: UTMatrix) -> UTMatrix:
     """exp(M) = I + M + M^2/2! + ... + M^N/N! for strictly upper-triangular M."""
     if not m.is_strictly_upper():
         raise ValueError("nilpotent_exp requires a strictly upper-triangular matrix")
-    acc = UTMatrix.identity(m.order)
-    power = None
-    for k in range(1, m.order):
-        power = m if power is None else power @ m
-        acc = acc + power.scale(Fraction(1, factorial(k)))
-    return acc
+    return UTMatrix.identity(m.order) + _power_series(m, lambda k: Fraction(1, factorial(k)))
 
 
 def nilpotent_log(p: UTMatrix) -> UTMatrix:
     """log(P) = sum_{k=1}^{N} (-1)^(k-1) (P - I)^k / k for unit-diagonal P."""
     if not p.has_unit_diagonal():
         raise ValueError("nilpotent_log requires a unit diagonal and zero entries below it")
-    a = p - UTMatrix.identity(p.order)
-    acc = UTMatrix.zeros(p.order)
-    power = None
-    for k in range(1, p.order):
-        power = a if power is None else power @ a
-        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-    return acc
+    return _power_series(p - UTMatrix.identity(p.order), lambda k: Fraction((-1) ** (k - 1), k))
 
 
 def factor_matrix(factor: ExpFactor, degree: int) -> UTMatrix:
@@ -360,6 +338,22 @@ def _slot_width(n: int, bound: int, m: int = 0) -> int:
     return (total * bound**n).bit_length() + 1
 
 
+def _integer_form(factors: Sequence[ExpFactor]) -> tuple[int, list[tuple[int, int]], int]:
+    """(L, weights, C), the integer form that both the series and the word route read.
+
+    L is the lcm of the factor denominators, weights holds each factor's (a L, b L) in
+    order, and C = sum_f max(|a_f L|, |b_f L|) is the letter weight bound of _slot_width.
+    """
+    scale = lcm(*[q.denominator for factor in factors for q in factor])
+    weights = []
+    bound = 0
+    for a, b in factors:
+        pair = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        bound += max(map(abs, pair))
+        weights.append(pair)
+    return scale, weights, bound
+
+
 def _factor_mul(series: list[int], a: int, b: int, width: int) -> None:
     """Replace the packed graded series by exp(a X + b Y) times it; a, b are scaled by L.
 
@@ -401,13 +395,10 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     k-block path sums, so _slot_width(N, C, M) holds it.
     """
     # degree-d parts are scaled by d! * L^d, and by M through the constants c_k
-    scale = lcm(*(q.denominator for factor in factors for q in factor))
+    scale, weights, bound = _integer_form(factors)
     m = lcm(*range(1, degree + 1))
-    bound = int(sum(max(abs(a), abs(b)) for a, b in factors) * scale)
     size = _slot_size(_slot_width(degree, bound, m))
     width = size << 3
-    # the scaled weights, the last factor first: P * R_k multiplies from the left
-    weights = [(int(a * scale), int(b * scale)) for a, b in reversed(factors)]
     # M * log(1 + A) = A * R_1 by Horner's rule: R_N = c_N, R_k = c_k + A * R_(k+1),
     # c_k = (-1)^(k-1) M/k, and R_k matters only up to degree N - k.  Each step
     # pads R_k with a zero part; A * R_k = P * R_k - R_k, R_k being a polynomial in A.
@@ -415,7 +406,7 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
     for k in range(degree, 0, -1):
         horner[0] = m // k if k % 2 else -(m // k)
         state = horner + [0]
-        for a, b in weights:  # P * R_k
+        for a, b in reversed(weights):  # P * R_k: the last factor multiplies first
             _factor_mul(state, a, b, width)
         for d, part in enumerate(horner):
             state[d] -= part
@@ -466,16 +457,12 @@ def word_coefficient(variant: VariantPreset, w: Word) -> Fraction:
     n = w.length
     if n < 1:
         raise ValueError("the coefficient of the empty word is undefined")
-    factors = variant.factors
-    scale = lcm(*[q.denominator for factor in factors for q in factor])
+    scale, weights, bound = _integer_form(variant.factors)
     bits = w.bits
     # one step per factor: its scaled weight of each letter, its input layer, its layer
     layers = [[1] + [0] * n]
     steps = []
-    bound = 0
-    for a, b in factors:
-        pair = (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        bound += max(map(abs, pair))
+    for pair in weights:
         layer = [1] + [0] * n
         steps.append(([pair[(bits >> i) & 1] for i in range(n - 1, -1, -1)], layers[-1], layer))
         layers.append(layer)

@@ -62,6 +62,10 @@ class TestWordParse:
         # rejected before the bits of the huge run are built
         with pytest.raises(WordParseError):
             word_parse("Y^99999999999999", max_length=128)
+        # the token that crosses the cap is named
+        with pytest.raises(WordParseError) as info:
+            word_parse("X^100Y^29", max_length=128)
+        assert info.value.position == 5
 
     def test_round_trip_is_canonical(self):
         for word in all_words(6):
@@ -285,6 +289,12 @@ class TestFreePoly:
         x, y = FreePoly.from_letter(X), FreePoly.from_letter(Y)
         square = FreePoly({w("XX"): 1, w("XY"): 1, w("YX"): 1, w("YY"): 1})
         assert ((x + y) * (x + y) - square).is_zero()
+
+    def test_difference_keeps_left_then_right_words(self):
+        p = FreePoly({w("XY"): 1, w("YX"): 2})
+        q = FreePoly({w("Y^2"): 3, w("XY"): 1, w("X^2"): 1})
+        assert list((p - q).items()) == [(w("YX"), 2), (w("Y^2"), -3), (w("X^2"), -1)]
+        assert list((q - p).items()) == [(w("Y^2"), 3), (w("X^2"), 1), (w("YX"), -2)]
 
     def test_equal_sums_hash_equal(self):
         p = FreePoly({w("XY"): 1, w("YX"): Fraction(-1, 2)})

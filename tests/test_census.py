@@ -248,6 +248,13 @@ class TestSerialization:
         assert lines[1] == "2,2,2,1,1,standard"
         assert lines[3] == "4,4,14,2,7,standard"
 
+    def test_degree_one_record_has_ratio_zero_over_one(self):
+        records = [census(1, preset("standard"))]
+        assert records[0].ratio is None
+        assert census_to_csv(records).endswith("\n1,2,0,0,1,standard\n")
+        (row,) = json.loads(census_to_json(records))
+        assert (row["ratio_num"], row["ratio_den"]) == ("0", "1")
+
     def test_json_schema(self):
         text = census_to_json(census_sweep(3, preset("standard")))
         rows = json.loads(text)

@@ -244,6 +244,11 @@ class TestGenerators:
         assert m.entry(0, 1) == FreePoly({Word(1, 0): F(1, 2), Word(1, 1): -1})
         assert m.is_strictly_upper()
 
+    @pytest.mark.parametrize("letter", [X, Y])
+    def test_generator_is_the_unit_combination(self, letter):
+        for n in range(1, 7):
+            assert build_generator(letter, n) == generator_combination(1 - letter, letter, n)
+
 
 class TestExpLog:
     def test_exp_of_zero_is_identity(self):
@@ -269,14 +274,27 @@ class TestExpLog:
         assert z.entry(0, 2) == STANDARD_2
 
     def test_exp_rejects_non_strict(self):
-        with pytest.raises(ValueError):
+        text = "^nilpotent_exp requires a strictly upper-triangular matrix$"
+        with pytest.raises(ValueError, match=text):
             nilpotent_exp(UTMatrix.identity(3))
 
     def test_log_rejects_non_unit_diagonal(self):
-        with pytest.raises(ValueError):
+        text = "^nilpotent_log requires a unit diagonal and zero entries below it$"
+        with pytest.raises(ValueError, match=text):
             nilpotent_log(UTMatrix.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=text):
             nilpotent_log(build_generator(X, 2))
+
+    def test_unit_diagonal(self):
+        assert UTMatrix.identity(3).has_unit_diagonal()
+        assert nilpotent_exp(build_generator(X, 3)).has_unit_diagonal()
+        assert not UTMatrix.zeros(3).has_unit_diagonal()
+        one, x = FreePoly.one(), FreePoly.from_letter(X)
+        rows = [list(row) for row in UTMatrix.identity(3).rows]
+        rows[1][1] = one + one
+        assert not UTMatrix(rows).has_unit_diagonal()
+        rows[1][1], rows[2][0] = one, x
+        assert not UTMatrix(rows).has_unit_diagonal()
 
     @settings(max_examples=60, deadline=None)
     @given(m=strictly_upper_matrices(max_order=5))
@@ -974,6 +992,14 @@ class TestGrading:
                 assert power.is_graded()
                 power = power @ a
             assert nilpotent_log(partial).is_graded()
+
+    def test_an_entry_of_the_wrong_degree_is_not_graded(self):
+        assert UTMatrix.zeros(3).is_graded() and UTMatrix.identity(3).is_graded()
+        x, y = FreePoly.from_letter(X), FreePoly.from_letter(Y)
+        for i, j, entry in ((1, 0, FreePoly.one()), (2, 1, y), (0, 2, x)):
+            rows = [list(row) for row in UTMatrix.zeros(3).rows]
+            rows[i][j] = entry
+            assert not UTMatrix(rows).is_graded(), (i, j)
 
     def test_product_matrix_is_graded(self):
         assert product_matrix(preset("highly_symmetrized").factors, 6).is_graded()
