@@ -149,7 +149,13 @@ def word_parse(text: str, max_length: int | None = None) -> Word:
         m = _WORD_TOKEN.match(text, pos)
         if m is None:
             raise WordParseError(text, pos, "expected X, Y, X^k, or Y^k")
-        mult = 1 if m.group(2) is None else int(m.group(2))
+        digits = (m.group(2) or "1").lstrip("0") or "0"
+        if max_length is not None and len(digits) > len(str(max_length)):
+            digits = str(max_length + 1)  # past the cap, without int() reading every digit
+        try:
+            mult = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise WordParseError(text, pos, "the exponent has too many digits") from None
         if mult < 1:
             raise WordParseError(text, pos, "exponent must be >= 1")
         if max_length is not None and n + mult > max_length:

@@ -66,6 +66,17 @@ class TestWordParse:
         with pytest.raises(WordParseError) as info:
             word_parse("X^100Y^29", max_length=128)
         assert info.value.position == 5
+        # an exponent of more digits than int() converts is a parse error at
+        # its token, with the cap or without
+        for text, position in (("X^" + "9" * 5000, 0), ("XY^" + "9" * 5000, 1)):
+            with pytest.raises(WordParseError, match="longer than 128 letters") as info:
+                word_parse(text, max_length=128)
+            assert info.value.position == position
+            with pytest.raises(WordParseError, match="too many digits") as info:
+                word_parse(text)
+            assert info.value.position == position
+        # leading zeros do not count toward the cap
+        assert word_parse("X^" + "0" * 5000 + "5", max_length=5) == w("X^5")
 
     def test_round_trip_is_canonical(self):
         for word in all_words(6):

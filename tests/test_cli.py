@@ -184,6 +184,13 @@ class TestGoldberg:
         result = run("goldberg", "--word", "XZ")
         assert result.exit_code == 2
 
+    def test_exponent_of_thousands_of_digits_is_usage_error(self):
+        # more digits than int() converts: a parse error, not the interpreter's text
+        result = run("goldberg", "--word", "X^" + "9" * 5000)
+        assert result.exit_code == 2
+        assert "cannot parse" in result.stderr
+        assert result.stdout == ""
+
     def test_empty_word_is_usage_error(self):
         result = run("goldberg", "--word", "")
         assert result.exit_code == 2
@@ -251,6 +258,16 @@ class TestCensus:
         assert result.exit_code == 0
         assert "9,435,510,29,34,symmetric" in result.output.splitlines()
 
+    def test_paper_tables_to_degree_13(self):
+        # the paper's two census tables, one csv per product
+        for variant, digest in (
+            ("standard", "92bc69ac19b0e2b5011b94b37eeada4a5be90926993835b7275679bcc0d0c7e7"),
+            ("symmetric", "d4c6fcde7ac14d113e3b235345e162200d7d5f79498d46ed4a9b208b937d633c"),
+        ):
+            result = run("census", "--max", "13", "--variant", variant, "--format", "csv")
+            assert result.exit_code == 0
+            assert sha256(result.stdout_bytes).hexdigest() == digest, variant
+
     def test_max_below_two_is_usage_error(self):
         result = run("census", "--max", "1")
         assert result.exit_code == 2
@@ -258,6 +275,11 @@ class TestCensus:
     def test_max_above_cap_is_usage_error(self):
         result = run("census", "--max", str(MAX_DEGREE + 1))
         assert result.exit_code == 2
+
+    def test_unknown_variant_is_usage_error(self):
+        result = run("census", "--variant", "nope")
+        assert result.exit_code == 2
+        assert result.stdout == ""
 
     def test_json_round_trips_byte_identically(self):
         result = run("census", "--max", "6", "--format", "json")

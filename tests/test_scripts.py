@@ -1,4 +1,4 @@
-"""The scripts: bad arguments are usage errors, and every mutant row applies."""
+"""The scripts: bad arguments are usage errors, the profile prints, every mutant row applies."""
 
 from __future__ import annotations
 
@@ -31,10 +31,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess[str]:
         ("occurrence_profile.py", ["0"]),
         ("occurrence_profile.py", ["21"]),
         ("occurrence_profile.py", ["5", "--variant", "bogus"]),
-        ("census_tables.py", ["--max", "1"]),
-        ("census_tables.py", ["--max", "40"]),
-        ("census_tables.py", ["--variants", "nope"]),
-        ("census_tables.py", ["--variants", "standard", "nope"]),
     ],
 )
 def test_bad_argument_is_a_usage_error(name, args):
@@ -46,9 +42,14 @@ def test_bad_argument_is_a_usage_error(name, args):
 
 def test_smallest_degrees_still_run():
     assert run_script("occurrence_profile.py", "1").returncode == 0
-    result = run_script("census_tables.py", "--max", "2", "--variants", "loop")
+
+
+def test_occurrence_profile_prints_the_profile():
+    result = run_script("occurrence_profile.py", "8")
     assert result.returncode == 0
-    assert result.stdout.startswith("n,count,bound")
+    lines = result.stdout.splitlines()
+    assert "non-zero words: 124" in lines
+    assert lines[-1] == "run totals consistent with position totals: True"
 
 
 def test_every_mutant_row_applies_to_the_source_once():
