@@ -129,6 +129,24 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ENGINE}::TestHornerLogAgainstWordRoute::test_presets_at_degrees_10_to_14",
         ),
     ),
+    # _SLOT_BYTES: the standard row at N 13 lowered from 8 bytes to 4
+    (
+        "engine.py",
+        '("standard", "1 1 1 1 2 2 2 4 4 4 4 8 8 8 8 8 8 8 9 9")',
+        '("standard", "1 1 1 1 2 2 2 4 4 4 4 8 4 8 8 8 8 8 9 9")',
+        (
+            f"{ENGINE}::TestSlotTable::test_every_entry_holds_the_values_it_packs[standard]",
+            f"{ENGINE}::test_dense_values_are_pinned[standard-13]",
+        ),
+    ),
+    # _graded_series: a factor tuple outside the table given the standard row,
+    # as a lookup by name would give another product called "standard"
+    (
+        "engine.py",
+        '_SLOT_BYTES.get(factors, b"")',
+        '_SLOT_BYTES.get(factors) or _SLOT_BYTES[PRESETS["standard"].factors]',
+        (f"{ENGINE}::TestSlotTable::test_the_table_is_keyed_by_the_factors_not_the_name",),
+    ),
     # _factor_mul: the Y half shifted by one prefix level too many
     (
         "engine.py",
@@ -375,6 +393,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (
             "tests/test_algebra.py::TestFreePoly::test_difference_keeps_left_then_right_words",
             "tests/test_algebra.py::TestFreePoly::test_cancelling_words_dropped",
+        ),
+    ),
+    # _WORD_TOKEN reading exponents with \d, which matches any Unicode decimal digit
+    (
+        "algebra.py",
+        r"(?:\^([0-9]+))?",
+        r"(?:\^(\d+))?",
+        (
+            "tests/test_algebra.py::TestWordParse::test_non_ascii_digits",
+            "tests/test_cli.py::TestGoldberg::test_non_ascii_digits_are_usage_error",
         ),
     ),
     # word_parse rejecting a word of exactly max_length letters

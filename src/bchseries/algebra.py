@@ -133,7 +133,8 @@ class Word(_WordFields):
 EMPTY_WORD = Word(0, 0)
 
 
-_WORD_TOKEN = re.compile(r"([XY])(?:\^(\d+))?")
+# [0-9], not \d, which also matches every other Unicode decimal digit
+_WORD_TOKEN = re.compile(r"([XY])(?:\^([0-9]+))?")
 
 
 def word_parse(text: str, max_length: int | None = None) -> Word:

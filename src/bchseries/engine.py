@@ -24,7 +24,12 @@ multiplies once, X + Y and X - Y once for both letters, none of them for a
 unit weight, and any other pair twice.  M * log(1 + A), with A = P - 1
 and P the product, is evaluated by Horner's rule, each step A * R = P * R - R
 with R passed through every factor, so P is never stored: about 2^(N+3) slots
-of work per factor in about N^3/6 operations.
+of work per factor in about N^3/6 operations.  Every step is linear, so only
+the final coefficients must fit a slot.  The proved width, _slot_width, adds
+the log's path sums with no signs; for the built-in factor tuples at
+N <= MAX_DEGREE, _SLOT_BYTES gives the narrower slots that their values were
+found to need, and the series takes the smaller of the two.  Any other factor
+tuple or N keeps the proved width.
 
 Each part then becomes a terms.SeriesTerm that keeps the part's bytes over
 one denominator.  The census, the bound checks and the letter profile count
@@ -126,6 +131,25 @@ PRESET_NAMES: tuple[str, ...] = tuple(PRESETS)
 # The largest degree, or word length, that the command-line interface sends
 # to series_terms.  Its memory doubles per degree, for the packed parts and bytes.
 MAX_DEGREE = 20
+
+# The slot bytes that the final values of each preset's series need at
+# N = 1..MAX_DEGREE, found by exhaustion: tests/test_engine.py::TestSlotTable
+# recomputes every series at the proved width and checks each entry against
+# its values.  Keyed by the factors, not the name, so that another preset under
+# a built-in name keeps the proved width.
+_SLOT_BYTES: dict[tuple[ExpFactor, ...], bytes] = {
+    PRESETS[name].factors: bytes(map(int, row.split()))
+    for name, row in (
+        ("standard", "1 1 1 1 2 2 2 4 4 4 4 8 8 8 8 8 8 8 9 9"),
+        ("symmetric", "1 1 1 1 2 2 4 4 4 4 8 8 8 8 8 8 10 10 11 11"),
+        ("loop", "1 1 1 2 2 2 4 4 4 4 8 8 8 8 8 8 8 9 10 10"),
+        ("triangular", "1 1 1 1 2 2 2 4 4 4 4 8 8 8 8 8 8 8 9 9"),
+        ("sum_difference", "1 1 1 1 2 2 4 4 4 4 8 8 8 8 8 8 8 9 10 10"),
+        ("highly_symmetrized", "1 1 1 1 2 2 4 4 4 4 8 8 8 8 8 8 9 9 11 11"),
+        ("symmetric_sum_difference", "1 1 2 2 4 4 4 4 8 8 8 8 8 8 9 9 10 10 12 12"),
+        ("highly_symmetrized_sum_difference", "1 1 2 2 2 2 4 4 8 8 8 8 8 8 9 9 10 10 12 12"),
+    )
+}
 
 # The longest word the command-line interface sends to word_coefficient or to
 # oracle.goldberg_direct, in every goldberg mode.  word_coefficient takes at
@@ -390,14 +414,21 @@ def _graded_series(factors: tuple[ExpFactor, ...], degree: int) -> tuple[SeriesT
 
     Every series is packed as in _factor_mul, in slots of _slot_size bytes.  Each
     step is linear, so a packed int is sum_i v_i 2^(i width) exactly, however
-    large the v_i: only the final coefficients must fit.  That of
-    a word of length d <= N is a sum over k of (-1)^(k-1) M/k times its
-    k-block path sums, so _slot_width(N, C, M) holds it.
+    large the v_i: only the final coefficients must fit, and any width at or
+    above the one they need gives the same values.  That of a word of length
+    d <= N is a sum over k of (-1)^(k-1) M/k times its k-block path sums, so
+    _slot_width(N, C, M) holds it.  That bound adds the sums with no signs,
+    while the log's alternating sum cancels most of them, so for the built-in
+    factor tuples _SLOT_BYTES gives the narrower slots their values were
+    found to need; the smaller of the two is used.
     """
     # degree-d parts are scaled by d! * L^d, and by M through the constants c_k
     scale, weights, bound = _integer_form(factors)
     m = lcm(*range(1, degree + 1))
     size = _slot_size(_slot_width(degree, bound, m))
+    found = _SLOT_BYTES.get(factors, b"")
+    if degree <= len(found):
+        size = min(size, found[degree - 1])
     width = size << 3
     # M * log(1 + A) = A * R_1 by Horner's rule: R_N = c_N, R_k = c_k + A * R_(k+1),
     # c_k = (-1)^(k-1) M/k, and R_k matters only up to degree N - k.  Each step

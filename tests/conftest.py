@@ -17,6 +17,21 @@ def spec_terms(variant: VariantPreset, degree: int) -> tuple[SeriesTerm, ...]:
     return tuple(SeriesTerm(n, z.entry(0, n)) for n in range(1, degree + 1))
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--slot-table-degree",
+        type=int,
+        default=16,
+        help="truncation N of the reference run that checks engine._SLOT_BYTES (default 16)",
+    )
+
+
+@pytest.fixture
+def slot_table_degree(request):
+    """The N of the slot-table check: its one run per preset covers every N up to it."""
+    return request.config.getoption("--slot-table-degree")
+
+
 @pytest.fixture
 def core_runs(monkeypatch):
     """The degrees of every core series computation from here on."""

@@ -54,6 +54,13 @@ class TestWordParse:
         with pytest.raises(WordParseError):
             w("X^")
 
+    def test_non_ascii_digits(self):
+        # Arabic-Indic and fullwidth digits: the caret has no exponent
+        for text in ("X^\u0663Y", "YX^\uff12"):
+            with pytest.raises(WordParseError) as info:
+                w(text)
+            assert info.value.position == text.index("^")
+
     def test_max_length(self):
         assert w("X^2Y^3") == word_parse("X^2Y^3", max_length=5)
         with pytest.raises(WordParseError) as info:

@@ -191,6 +191,13 @@ class TestGoldberg:
         assert "cannot parse" in result.stderr
         assert result.stdout == ""
 
+    def test_non_ascii_digits_are_usage_error(self):
+        # an Arabic-Indic three is a decimal digit to Unicode, not to the X^k grammar
+        result = run("goldberg", "--word", "X^\u0663Y")
+        assert result.exit_code == 2
+        assert "cannot parse" in result.stderr
+        assert result.stdout == ""
+
     def test_empty_word_is_usage_error(self):
         result = run("goldberg", "--word", "")
         assert result.exit_code == 2

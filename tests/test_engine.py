@@ -10,7 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from hashlib import sha256
-from math import comb, lcm
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from bchseries import (
     build_generator,
     engine_coefficient,
     generator_combination,
+    goldberg_direct,
     interchange,
     nilpotent_exp,
     nilpotent_log,
@@ -803,6 +804,101 @@ class TestSlotWidth:
                 assert engine.word_coefficient(variant, word) == 0, word
 
 
+def _lcm_to(n):
+    return lcm(*range(1, n + 1))
+
+
+def _partitions(n, top):
+    """The partitions of n into parts of at most top, largest part first."""
+    if not n:
+        yield ()
+    for part in range(min(n, top), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _needed_slot_bytes(peaks):
+    """The slot bytes that hold parts 1..N, for N = 1..len(peaks).
+
+    peaks[d - 1] is the largest |coefficient| of degree d times d! L^d; at
+    truncation N >= d the engine scales it by lcm(1..N) too, to an integer.
+    """
+    row = []
+    for n in range(1, len(peaks) + 1):
+        scaled = [peak * _lcm_to(n) for peak in peaks[:n]]
+        assert all(value.denominator == 1 for value in scaled)
+        row.append(terms._slot_size(max(int(value).bit_length() + 1 for value in scaled)))
+    return row
+
+
+def _proved_slot_size(variant, degree):
+    _, _, bound = engine._integer_form(variant.factors)
+    return terms._slot_size(engine._slot_width(degree, bound, _lcm_to(degree)))
+
+
+class TestSlotTable:
+    """engine._SLOT_BYTES against the slot bytes that each preset's values need."""
+
+    def test_one_row_of_slot_sizes_per_preset(self):
+        assert set(engine._SLOT_BYTES) == {preset(name).factors for name in PRESET_NAMES}
+        for row in engine._SLOT_BYTES.values():
+            assert len(row) == engine.MAX_DEGREE
+            assert all(terms._slot_size(8 * size) == size for size in row)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_entry_holds_the_values_it_packs(self, name, slot_table_degree, monkeypatch):
+        # one run at the proved width gives the need at every N up to it
+        variant, top = preset(name), slot_table_degree
+        row = engine._SLOT_BYTES[variant.factors]
+        monkeypatch.setattr(engine, "_SLOT_BYTES", {})
+        peaks = []
+        for term in series_terms(variant, top):
+            assert term._size == _proved_slot_size(variant, top)
+            ints, _ = term.to_dense()
+            # over d! L^d lcm(1..top); at N >= d the ints scale by lcm(1..N) / lcm(1..top) exactly
+            assert gcd(*ints) % (_lcm_to(top) // _lcm_to(term.degree)) == 0
+            peaks.append(F(max(map(abs, ints)), _lcm_to(top)))
+        need = _needed_slot_bytes(peaks)
+        assert len(need) <= len(row), (name, need)
+        assert all(have >= needed for have, needed in zip(row, need)), (name, need)
+
+    def test_standard_row_from_goldberg_run_classes(self):
+        # g(w) depends only on w's first letter and run lengths, so one word per
+        # partition of d and first letter has the largest |g| of degree d
+        peaks = []
+        for d in range(1, engine.MAX_DEGREE + 1):
+            words = [
+                Word.from_runs(zip(itertools.cycle(letters), parts))
+                for parts in _partitions(d, d)
+                for letters in ((X, Y), (Y, X))
+            ]
+            peaks.append(max(abs(goldberg_direct(word)) for word in words) * factorial(d))
+        assert bytes(_needed_slot_bytes(peaks)) == engine._SLOT_BYTES[preset("standard").factors]
+
+    @pytest.mark.parametrize("degree", [5, 13])
+    def test_series_take_the_smaller_of_table_and_proved_width(self, degree):
+        for name in PRESET_NAMES:
+            variant = preset(name)
+            size = min(_proved_slot_size(variant, degree), engine._SLOT_BYTES[variant.factors][degree - 1])
+            assert {term._size for term in series_terms(variant, degree)} == {size}
+
+    def test_the_table_is_keyed_by_the_factors_not_the_name(self):
+        standard = preset("standard")
+        renamed = VariantPreset("standard", (exp_factor(1, 0), exp_factor(0, 1), exp_factor(1, 0)))
+        copied = VariantPreset("my standard", tuple(standard.factors))
+        rng = random.Random(8)
+        for degree in (8, 13):
+            row_size = engine._SLOT_BYTES[standard.factors][degree - 1]
+            proved = _proved_slot_size(renamed, degree)
+            assert proved > row_size
+            # another product under a built-in name keeps the proved width
+            renamed_terms = series_terms(renamed, degree)
+            assert {term._size for term in renamed_terms} == {proved}
+            _assert_sampled_words_match(renamed, renamed_terms, rng, 4)
+            # the built-in product under another name takes the table's
+            assert {term._size for term in series_terms(copied, degree)} == {row_size}
+
+
 # sha256 of repr([term._reduced() for term in series_terms(preset(name), N)]):
 # every coefficient's exact value.  At N 16 some slots of symmetric_sum_difference
 # exceed 64 bits, so the decode reads those slots again.  The other three
@@ -877,9 +973,16 @@ class TestSeriesTerm:
                 # the engine's den is d! L^d lcm(1..N); a body's is the lcm of its denominators
                 assert from_body.to_dense() != term.to_dense()
                 assert from_body == term and hash(from_body) == hash(term)
-                # at N 13 every engine slot is wider than 8 bytes, a body's low parts' are not
+                # at N 13 the engine's low parts take wider slots than a body's
                 if degree == 13 and term.degree < 4:
-                    assert from_body._size < 8 < term._size
+                    assert from_body._size < term._size
+
+    def test_engine_slots_past_8_bytes_equal_a_body_built_term(self):
+        # symmetric_sum_difference at N 15 packs in 9-byte slots, read by the wide decode
+        for term in series_terms(preset("symmetric_sum_difference"), 15)[:8]:
+            from_body = SeriesTerm(term.degree, term.body)
+            assert from_body._size < 8 < term._size
+            assert from_body == term and hash(from_body) == hash(term)
 
     def test_term_from_a_body_has_ints(self):
         term = SeriesTerm(2, FreePoly({w("XY"): F(1, 2), w("YX"): F(-1, 2)}))
