@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ENGINE = "tests/test_engine.py"
 ORACLE = "tests/test_oracle.py"
+CENSUS = "tests/test_census.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     # SeriesTerm.marks: the top byte of a zero slot taken as 0x00, not 0x80
@@ -36,7 +37,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "int(b != 0x00)",
         (
             f"{ENGINE}::TestMarks::test_count_and_marks_read_the_nonzero_slots[standard]",
-            "tests/test_census.py::TestCensus::test_degree_eight",
+            f"{CENSUS}::TestCensus::test_degree_eight",
         ),
     ),
     # SeriesTerm.marks: the byte column below the top one left out of the OR
@@ -154,7 +155,7 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "width << t",
         (
             f"{ENGINE}::TestGoldenTerms::test_standard_degree_five",
-            "tests/test_census.py::TestCensus::test_degree_eight",
+            f"{CENSUS}::TestCensus::test_degree_eight",
         ),
     ),
     # _factor_mul: the unit X step, no multiply, taken for any weight a
@@ -207,13 +208,120 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ENGINE}::TestTruncation::test_lower_degrees_are_a_prefix_of_a_longer_run",
         ),
     ),
+    # CensusRecord.bound one above the ceiling 2^n - 2
+    (
+        "census.py",
+        "return (1 << self.n) - 2",
+        "return (1 << self.n) - 1",
+        (
+            f"{CENSUS}::TestCensus::test_degree_five",
+            "tests/test_cli.py::TestCensus::test_paper_tables_to_degree_13",
+        ),
+    ),
+    # CensusRecord.ratio as bound / count
+    (
+        "census.py",
+        "Fraction(self.count, self.bound)",
+        "Fraction(self.bound, self.count)",
+        (
+            f"{CENSUS}::TestCensus::test_degree_eight",
+            "tests/test_cli.py::TestCensus::test_paper_tables_to_degree_13",
+        ),
+    ),
+    # BoundRow.prime true at every odd degree
+    (
+        "census.py",
+        "return _is_prime(self.n)",
+        "return self.n % 2 == 1",
+        (
+            f"{CENSUS}::TestBoundChecks::test_composite_odd_rows_have_no_bound_fields",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[prime-saturated]",
+        ),
+    ),
+    # BoundRow.prime_saturated against 2^n - 1, not 2^n - 2
+    (
+        "census.py",
+        "self.count == (1 << self.n) - 2 if self.prime",
+        "self.count == (1 << self.n) - 1 if self.prime",
+        (
+            f"{CENSUS}::TestBoundChecks::test_to_degree_ten",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[prime-saturated]",
+        ),
+    ),
+    # BoundRow.even_bound two above 2^(n-1) - 4
+    (
+        "census.py",
+        "(1 << (self.n - 1)) - 4",
+        "(1 << (self.n - 1)) - 2",
+        (
+            f"{CENSUS}::TestBoundChecks::test_to_degree_ten",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[over-the-even-bound]",
+        ),
+    ),
+    # BoundRow.even_bound_holds only strictly below the bound
+    (
+        "census.py",
+        "self.count <= bound",
+        "self.count < bound",
+        (
+            "tests/test_cli.py::TestVerifyBytes::test_pass_path[bounds-text]",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[saturated-unexpectedly]",
+        ),
+    ),
+    # BoundRow.even_saturated whenever the bound holds
+    (
+        "census.py",
+        "self.count == bound",
+        "self.count <= bound",
+        (
+            f"{CENSUS}::TestBoundChecks::test_to_degree_ten",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[unsaturated-unexpectedly]",
+        ),
+    ),
+    # BoundRow.even_saturation_expected when n + 1, not n - 1, is prime
+    (
+        "census.py",
+        "_is_prime(self.n - 1)",
+        "_is_prime(self.n + 1)",
+        (
+            f"{CENSUS}::TestBoundChecks::test_to_degree_ten",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[saturated-unexpectedly]",
+        ),
+    ),
+    # BoundRow.ok ignoring prime saturation
+    (
+        "census.py",
+        "self.prime_saturated is not False",
+        "True",
+        (
+            "tests/test_cli.py::TestVerifyBytes::test_fail_path[bounds-text]",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[prime-unsaturated]",
+        ),
+    ),
+    # BoundRow.ok ignoring the even-length bound
+    (
+        "census.py",
+        "and self.even_bound_holds is not False",
+        "",
+        (f"{CENSUS}::TestBoundChecks::test_synthetic_counts[over-the-even-bound-unsaturable]",),
+    ),
+    # BoundRow.ok ignoring even saturation
+    (
+        "census.py",
+        "and self.even_saturated == self.even_saturation_expected",
+        "",
+        (
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[saturated-unexpectedly]",
+            f"{CENSUS}::TestBoundChecks::test_synthetic_counts[unsaturated-unexpectedly]",
+        ),
+    ),
     # property_sweep from degree 3
     (
         "census.py",
         'series_terms(PRESETS["standard"], max_n)[1:]',
         'series_terms(PRESETS["standard"], max_n)[2:]',
         (
-            "tests/test_census.py::TestPropertySuite::test_sweep_matches_the_suite_from_one_series_run",
+            f"{CENSUS}::TestPropertySuite::test_sweep_matches_the_suite_from_one_series_run",
             "tests/test_cli.py::TestVerify::test_properties_json",
         ),
     ),
@@ -307,16 +415,6 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
         ),
     ),
-    # _packed: a row past Horner's rule packed without taking its lift off again
-    (
-        "oracle.py",
-        'int.from_bytes(lifted, "little") - _offset(size, len(row))',
-        'int.from_bytes(lifted, "little")',
-        (
-            f"{ORACLE}::TestOracleTables::test_longest_run_at_and_past_the_table[YX^31Y]",
-            f"{ORACLE}::TestGoldbergDirect::test_cap_length_matches_closed_form",
-        ),
-    ),
     # word_texts: where the halves' boundary letters agree, text(u) + text(v)
     (
         "algebra.py",
@@ -393,6 +491,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         (
             "tests/test_algebra.py::TestFreePoly::test_difference_keeps_left_then_right_words",
             "tests/test_algebra.py::TestFreePoly::test_cancelling_words_dropped",
+        ),
+    ),
+    # _COMM_TERM reading coefficients with \d, which matches any Unicode decimal digit
+    (
+        "lie.py",
+        r"(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?",
+        r"(?P<num>\d+)(?:/(?P<den>\d+))?",
+        (
+            "tests/test_lie.py::TestCommParse::test_non_ascii_digits_rejected[numerator]",
+            "tests/test_lie.py::TestCommParse::test_non_ascii_digits_rejected[denominator]",
         ),
     ),
     # _WORD_TOKEN reading exponents with \d, which matches any Unicode decimal digit

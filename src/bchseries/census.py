@@ -31,30 +31,32 @@ class CensusRecord(NamedTuple):
 
     n: int
     count: int
-    bound: int
-    ratio: Fraction | None
     variant: str
 
+    @property
+    def bound(self) -> int:
+        """The ceiling 2^n - 2."""
+        return (1 << self.n) - 2
 
-def _census_record(term: SeriesTerm, variant: VariantPreset) -> CensusRecord:
-    count = term.count
-    bound = (1 << term.degree) - 2
-    ratio = Fraction(count, bound) if bound > 0 else None
-    return CensusRecord(term.degree, count, bound, ratio, variant.name)
+    @property
+    def ratio(self) -> Fraction | None:
+        """count / bound, or None where the bound is 0."""
+        return Fraction(self.count, self.bound) if self.bound > 0 else None
 
 
 def census(n: int, variant: VariantPreset) -> CensusRecord:
     """Count the words of length n with a non-zero coefficient."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    return _census_record(series_terms(variant, n)[-1], variant)
+    return CensusRecord(n, series_terms(variant, n)[-1].count, variant.name)
 
 
 def census_sweep(max_n: int, variant: VariantPreset) -> list[CensusRecord]:
     """Census records for n = 2..max_n, from a single series run."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    return [_census_record(term, variant) for term in series_terms(variant, max_n)[1:]]
+    terms = series_terms(variant, max_n)[1:]
+    return [CensusRecord(term.degree, term.count, variant.name) for term in terms]
 
 
 _CENSUS_FIELDS = ("n", "count", "bound", "ratio_num", "ratio_den", "variant")
@@ -227,26 +229,49 @@ def _is_prime(n: int) -> bool:
 
 
 class BoundRow(NamedTuple):
-    """Census count at one degree against the prime / even-length bounds."""
+    """Census count of the standard series at one degree against its bounds.
+
+    At prime n the count must equal 2^n - 2.  At even n >= 4 the count must be
+    <= 2^(n-1) - 4, with equality exactly when n - 1 is prime.  A field of a
+    rule that does not apply at n is None.
+    """
 
     n: int
     count: int
-    prime: bool
-    prime_saturated: bool | None
-    even_bound: int | None
-    even_bound_holds: bool | None
-    even_saturated: bool | None
-    even_saturation_expected: bool | None
+
+    @property
+    def prime(self) -> bool:
+        return _is_prime(self.n)
+
+    @property
+    def prime_saturated(self) -> bool | None:
+        return self.count == (1 << self.n) - 2 if self.prime else None
+
+    @property
+    def even_bound(self) -> int | None:
+        return (1 << (self.n - 1)) - 4 if self.n % 2 == 0 and self.n >= 4 else None
+
+    @property
+    def even_bound_holds(self) -> bool | None:
+        bound = self.even_bound
+        return None if bound is None else self.count <= bound
+
+    @property
+    def even_saturated(self) -> bool | None:
+        bound = self.even_bound
+        return None if bound is None else self.count == bound
+
+    @property
+    def even_saturation_expected(self) -> bool | None:
+        return None if self.even_bound is None else _is_prime(self.n - 1)
 
     @property
     def ok(self) -> bool:
-        if self.prime and self.prime_saturated is False:
-            return False
-        if self.even_bound_holds is False:
-            return False
-        if self.even_saturated is not None and self.even_saturated != self.even_saturation_expected:
-            return False
-        return True
+        return (
+            self.prime_saturated is not False
+            and self.even_bound_holds is not False
+            and self.even_saturated == self.even_saturation_expected
+        )
 
 
 class BoundReport(NamedTuple):
@@ -258,41 +283,8 @@ class BoundReport(NamedTuple):
 
 
 def bound_checks(max_n: int) -> BoundReport:
-    """Check prime saturation and the even-length bound for n = 2..max_n.
-
-    The rules are stated for the standard series.  At prime n the count must
-    equal 2^n - 2.  At even n >= 4 the count must be <= 2^(n-1) - 4, with
-    equality exactly when n - 1 is prime.
-    """
-    records = census_sweep(max_n, PRESETS["standard"])
-    rows = []
-    for record in records:
-        n = record.n
-        prime = _is_prime(n)
-        prime_saturated = record.count == (1 << n) - 2 if prime else None
-        if n % 2 == 0 and n >= 4:
-            even_bound = (1 << (n - 1)) - 4
-            even_bound_holds = record.count <= even_bound
-            even_saturated = record.count == even_bound
-            even_saturation_expected = _is_prime(n - 1)
-        else:
-            even_bound = None
-            even_bound_holds = None
-            even_saturated = None
-            even_saturation_expected = None
-        rows.append(
-            BoundRow(
-                n=n,
-                count=record.count,
-                prime=prime,
-                prime_saturated=prime_saturated,
-                even_bound=even_bound,
-                even_bound_holds=even_bound_holds,
-                even_saturated=even_saturated,
-                even_saturation_expected=even_saturation_expected,
-            )
-        )
-    return BoundReport(rows)
+    """The bound rows of the standard series for n = 2..max_n."""
+    return BoundReport([BoundRow(r.n, r.count) for r in census_sweep(max_n, PRESETS["standard"])])
 
 
 class OccurrenceProfile(NamedTuple):

@@ -158,7 +158,7 @@ _SLOT_BYTES: dict[tuple[ExpFactor, ...], bytes] = {
 # symmetric_sum_difference, the slowest preset, on a 2-vCPU Xeon VM (Python
 # 3.11).  Goldberg's integral builds H_2..H_s for the longest run s, takes one
 # packed power per distinct run length and reads at most n slots; on the same
-# VM X^128 and X^127Y took 3-4 ms each.
+# VM X^128 and X^127Y took 1.8-1.9 ms each.
 MAX_WORD_LENGTH = 128
 
 

@@ -178,7 +178,7 @@ def is_lie_element(p: FreePoly) -> bool:
 _COMM_TERM = re.compile(
     r"""
     \s*(?P<sign>[+-])?\s*
-    (?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*\*?\s*)?
+    (?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*\*?\s*)?
     \[(?P<word>[^\]]*)\]
     """,
     re.VERBOSE,
@@ -186,11 +186,15 @@ _COMM_TERM = re.compile(
 
 
 def comm_parse(text: str) -> CommPoly:
-    """Parse commutator-form text like '-1/720*[X^4Y] + 6/720*[XYXYX]'."""
+    """Parse commutator-form text like '-1/720*[X^4Y] + 6/720*[XYXYX]'.
+
+    Whitespace may lead, trail and separate the signs, coefficients and
+    brackets; whitespace alone parses to the zero CommPoly.
+    """
     terms: list[tuple[Word, Fraction]] = []
-    pos = 0
+    pos, end = 0, len(text.rstrip())
     first = True
-    while pos < len(text):
+    while pos < end:
         m = _COMM_TERM.match(text, pos)
         if m is None or m.end() == pos:
             raise ValueError(f"cannot parse commutator expression {text!r} at position {pos}")
@@ -208,8 +212,6 @@ def comm_parse(text: str) -> CommPoly:
         terms.append((word_parse(m.group("word")), coeff))
         pos = m.end()
         first = False
-    if not terms and text.strip():
-        raise ValueError(f"cannot parse commutator expression {text!r}")
     return CommPoly(terms)
 
 

@@ -88,8 +88,6 @@ _FACTORIALS = tuple(accumulate(range(1, 129), mul, initial=1))
 # paired passes)
 _RUN_POLYS = tuple(accumulate(range(19), lambda h, _: _next_run_poly(h), initial=(1,)))
 _RUN_NORMS = tuple(sum(map(abs, h)) for h in _RUN_POLYS)
-# the longest row _packed builds by Horner's rule; _packed gives the timings
-_HORNER_MAX_ROW = 24
 
 
 def goldberg_direct(w: Word) -> Fraction:
@@ -168,29 +166,11 @@ def goldberg_direct(w: Word) -> Fraction:
 
 
 def _packed(row: Sequence[int], size: int) -> int:
-    """The polynomial with coefficients row, one per signed slot of size bytes.
-
-    Two routes, split at the measured crossover.  Horner's rule shifts the
-    whole value once per coefficient, quadratic in the row's bytes; the other
-    route writes one to_bytes per coefficient, each slot lifted by
-    2^(8 size - 1), joins them and takes the lift off once, linear in the
-    bytes but with a larger fixed cost.  Timed on H_s at the slot size of a
-    lone run of length s and at twice it (2-vCPU Xeon VM, Python 3.11.7),
-    Horner is 4.7x faster at s = 2, 2.5x at s = 10, 1.35-1.6x at s = 20 and
-    1.07-1.3x at s = 24; the two meet at s = 26-32 and to_bytes wins past
-    them: Horner takes 48 us and to_bytes 15 for H_64, 388 and 74 for H_128.
-    The rows word-queries packs are H_2..H_20 in slots of 4-14 bytes; there
-    Horner takes 18% off goldberg_direct's pass over the stream's 16-64
-    letter words, against to_bytes alone.
-    """
-    if len(row) <= _HORNER_MAX_ROW:
-        packed = 0
-        for c in reversed(row):
-            packed = (packed << 8 * size) + c
-        return packed
-    half = 1 << (8 * size - 1)
-    lifted = b"".join([(c + half).to_bytes(size, "little") for c in row])
-    return int.from_bytes(lifted, "little") - _offset(size, len(row))
+    """The polynomial with coefficients row in signed slots of size bytes, by Horner's rule."""
+    packed = 0
+    for c in reversed(row):
+        packed = (packed << 8 * size) + c
+    return packed
 
 
 def _offset(size: int, count: int) -> int:

@@ -27,7 +27,14 @@ from bchseries import (
     series_terms,
     word_parse,
 )
-from bchseries.census import PROPERTY_NAMES, CheckResult, census_to_csv, census_to_json
+from bchseries.census import (
+    PROPERTY_NAMES,
+    BoundRow,
+    CensusRecord,
+    CheckResult,
+    census_to_csv,
+    census_to_json,
+)
 from bchseries.cli import main
 
 w = word_parse
@@ -190,6 +197,48 @@ class TestBoundChecks:
         row9 = next(row for row in report.rows if row.n == 9)
         assert not row9.prime
         assert row9.even_bound is None
+
+    # (prime, prime_saturated, even_bound, even_bound_holds, even_saturated,
+    #  even_saturation_expected, ok) of a row made from a count alone
+    @pytest.mark.parametrize(
+        "n, count, expected",
+        [
+            (7, 125, (True, False, None, None, None, None, False)),
+            (8, 125, (False, None, 124, False, False, True, False)),
+            (10, 509, (False, None, 508, False, False, False, False)),
+            (10, 508, (False, None, 508, True, True, False, False)),
+            (12, 2043, (False, None, 2044, True, False, True, False)),
+            (9, 0, (False, None, None, None, None, None, True)),
+            (2, 2, (True, True, None, None, None, None, True)),
+        ],
+        ids=[
+            "prime-unsaturated",
+            "over-the-even-bound",
+            "over-the-even-bound-unsaturable",
+            "saturated-unexpectedly",
+            "unsaturated-unexpectedly",
+            "no-rule",
+            "prime-saturated",
+        ],
+    )
+    def test_synthetic_counts(self, n, count, expected):
+        row = BoundRow(n, count)
+        assert (
+            row.prime,
+            row.prime_saturated,
+            row.even_bound,
+            row.even_bound_holds,
+            row.even_saturated,
+            row.even_saturation_expected,
+            row.ok,
+        ) == expected
+
+    def test_rows_store_only_the_degree_and_count(self):
+        assert BoundRow._fields == ("n", "count")
+        assert CensusRecord._fields == ("n", "count", "variant")
+        record = CensusRecord(1, 2, "standard")
+        assert record.bound == 0
+        assert record.ratio is None
 
 
 class TestOccurrenceProfile:

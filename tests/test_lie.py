@@ -375,6 +375,19 @@ class TestCommParse:
             with pytest.raises(ValueError):
                 comm_parse(text)
 
+    @pytest.mark.parametrize("text", ["٣*[XY]", "1/٤*[XY]"], ids=["numerator", "denominator"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ValueError, match="at position 0"):
+            comm_parse(text)
+
+    @pytest.mark.parametrize("text", ["[XY] ", "[XY]\n", " [XY]", " 1/2 [XY] \t"])
+    def test_whitespace_around_the_text(self, text):
+        assert comm_parse(text) == comm_parse(text.strip())
+
+    @pytest.mark.parametrize("text", ["", "   ", "\n\t"])
+    def test_whitespace_alone_is_zero(self, text):
+        assert comm_parse(text) == CommPoly()
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="zero denominator .* at position 2"):
             comm_parse("1/0*[X]")
