@@ -26,8 +26,6 @@ from .algebra import (
     Letter,
     Word,
     WordSum,
-    X,
-    Y,
     format_sum,
     word_format,
     word_parse,
@@ -117,38 +115,6 @@ def is_lie_vector(v: Sequence[int]) -> bool:
     """Dynkin-Specht-Wever on a dense degree-n vector: bracketing returns n * v."""
     n = len(v).bit_length() - 1
     return bracket_vector(v) == [n * c for c in v]
-
-
-def expand_slots(slots: Sequence[FreePoly]) -> FreePoly:
-    """Expand [s1 s2 ... sm] = [s1,[s2,[...,[s_{m-1},s_m]...]]] for Lie-element slots.
-
-    The bracket is folded from the right, so a slot may hold any polynomial,
-    such as [X,Y] = XY - YX, where expand_nested takes only letters.
-    """
-    if not slots:
-        raise ValueError("cannot expand the commutator of no slots")
-    acc = slots[-1]
-    for slot in reversed(slots[:-1]):
-        acc = slot * acc - acc * slot
-    return acc
-
-
-def rewrite_identity_check(w1: Word, w2: Word) -> bool:
-    """Check [w1 X Y w2] = [w1 Y X w2] + [w1 [X,Y] w2] after expansion.
-
-    [X,Y] fills one slot of the right-nested bracket.  With z = [w2] the
-    identity is Jacobi's, [X,[Y,z]] = [Y,[X,z]] + [[X,Y],z], bracketed with
-    the letters of w1; it needs w2 to be non-empty.
-    """
-    if w2.length < 1:
-        raise ValueError("the rewrite identity needs a non-empty w2")
-    x = FreePoly.from_letter(X)
-    y = FreePoly.from_letter(Y)
-    head = [FreePoly.from_letter(letter) for letter in w1.letters()]
-    lhs = expand_nested(w1.concat(word_parse("XY")).concat(w2))
-    swapped = expand_nested(w1.concat(word_parse("YX")).concat(w2))
-    bracketed = expand_slots(head + [x * y - y * x, expand_nested(w2)])
-    return lhs == swapped + bracketed
 
 
 def dynkin_series(n: int) -> CommPoly:

@@ -17,62 +17,21 @@ l1 norm for s <= 20 from module tables.  The coefficients of s! G_s are
 (-1)^(s-1-j) (j+1)! S(s, j+1), Stirling numbers of the second kind, so its
 l1 norm is sum_k k! S(s, k).
 
-goldberg_direct_naive, for short words only, takes the explicit block sum
-
-    g(w) = sum_{k=1}^{n} (-1)^(k-1)/k *
-           sum over block sequences (r_1,s_1),...,(r_k,s_k) with r_i+s_i > 0
-           whose literal expansion X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} equals w
-           of 1/(r_1! s_1! ... r_k! s_k!),
-
-enumerating every block sequence and filtering by collapse; goldberg_xy is
-the Bernoulli closed form for X^a Y^b.
+goldberg_xy is the Bernoulli closed form for X^a Y^b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, factorial
 from operator import mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
-from .algebra import Word, X, Y
+from .algebra import Word
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-Block = tuple[int, int]
-
-
-class BlockSeq(NamedTuple):
-    """A sequence of blocks (r_i, s_i) denoting X^{r_i} Y^{s_i} factors."""
-
-    blocks: tuple[Block, ...]
-
-    @classmethod
-    def of(cls, blocks: Sequence[Block]) -> "BlockSeq":
-        blocks = tuple((int(r), int(s)) for r, s in blocks)
-        for r, s in blocks:
-            if r < 0 or s < 0:
-                raise ValueError("block exponents must be non-negative")
-            if r + s == 0:
-                raise ValueError("every block must satisfy r + s > 0")
-        return cls(blocks)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(r + s for r, s in self.blocks)
-
-
-def collapse(bs: BlockSeq) -> Word:
-    """Expand X^{r_1}Y^{s_1}...X^{r_k}Y^{s_k} literally into a word."""
-    runs = []
-    for r, s in bs.blocks:
-        if r:
-            runs.append((X, r))
-        if s:
-            runs.append((Y, s))
-    return Word.from_runs(runs)
 
 
 def _next_run_poly(h: Sequence[int]) -> tuple[int, ...]:
@@ -178,47 +137,6 @@ def _offset(size: int, count: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def enumerate_block_seqs(total: int, k: int) -> Iterator[BlockSeq]:
-    """All sequences of k blocks (r, s), each with r + s > 0, of given total degree."""
-    if k < 1 or total < k:
-        return
-    for sizes in _compositions(total, k):
-        pools = [[(r, size - r) for r in range(size + 1)] for size in sizes]
-        for blocks in product(*pools):
-            yield BlockSeq(tuple(blocks))
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def goldberg_direct_naive(w: Word) -> Fraction:
-    """Brute-force route: enumerate every block sequence and filter by collapse.
-
-    Exponential in the word length; intended as an independent check of
-    goldberg_direct on short words.
-    """
-    n = w.length
-    if n < 1:
-        raise ValueError("the coefficient of the empty word is undefined")
-    total = _ZERO
-    for k in range(1, n + 1):
-        k_sum = _ZERO
-        for bs in enumerate_block_seqs(n, k):
-            if collapse(bs) == w:
-                weight = _ONE
-                for r, s in bs.blocks:
-                    weight /= factorial(r) * factorial(s)
-                k_sum += weight
-        total += Fraction((-1) ** (k - 1), k) * k_sum
-    return total
-
-
 def _bernoulli_numbers(count: int) -> list[Fraction]:
     """B_0..B_(count-1) for count >= 1, each from sum_{j<=m} comb(m + 1, j) B_j = 0."""
     numbers = [_ONE]
@@ -253,18 +171,3 @@ def goldberg_xy(a: int, b: int) -> Fraction:
         acc += comb(b, i) * numbers[a + b - i]
     return Fraction((-1) ** a, factorial(a) * factorial(b)) * acc
 
-
-def goldberg_xy_images(a: int, b: int) -> dict[Word, Fraction]:
-    """The four words X^aY^b, X^bY^a, Y^aX^b, Y^bX^a with their coefficients."""
-    base = goldberg_xy(a, b)
-    flipped = base if (a + b) % 2 else -base
-    images: dict[Word, Fraction] = {}
-    for first, second, value in (
-        ((X, a), (Y, b), base),
-        ((X, b), (Y, a), base),
-        ((Y, a), (X, b), flipped),
-        ((Y, b), (X, a), flipped),
-    ):
-        runs = [run for run in (first, second) if run[1] > 0]
-        images[Word.from_runs(runs)] = value
-    return images

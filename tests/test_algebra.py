@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import pickle
 import random
+import re
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -410,3 +413,18 @@ def test_package_exports_are_explicit():
     }
     assert len(bchseries.__all__) == len(set(bchseries.__all__))
     assert set(bchseries.__all__) == public
+
+
+def test_readme_library_example_runs_on_the_exports():
+    # the python block under README's "## Library" imports only exported names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    nodes = ast.walk(ast.parse(block))
+    imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(getattr(node, "module", None) == "bchseries" for node in imports)
+    assert {alias.name for node in imports for alias in node.names} <= set(bchseries.__all__)
+    scope: dict = {}
+    exec(block, scope)
+    w = scope["w"]
+    assert w == word_parse("X^4Y^4")
+    assert scope["engine_coefficient"](w) == scope["goldberg_direct"](w) == Fraction(23, 120960)

@@ -899,6 +899,50 @@ class TestSlotTable:
             assert {term._size for term in series_terms(copied, degree)} == {row_size}
 
 
+class TestPartDenominators:
+    """d! L^d Q_d times the degree-d term is integral, Q_d = lcm(1..floor(d/2) + 1).
+
+    L is the lcm of the factor denominators and P the product of the factors.
+    With P_j the degree-j part of P, j! L^j P_j has integer coefficients, so
+    d! L^d ((P - 1)^k)_d is a sum over j_1 + ... + j_k = d, every j_i >= 1, of
+    the multinomial (d; j_1..j_k) times an integer polynomial, and the log
+    weighs it by (-1)^(k-1)/k.  Take a k <= d that does not divide Q_d.  A
+    prime power p^e exactly divides k and not Q_d, so p^e > floor(d/2) + 1;
+    a proper multiple of it would exceed d, so k = p^e.  Then
+    p^(e-1) <= d/2 divides Q_d, and p divides every such multinomial: by
+    Kummer its p-adic order is (sum_i s_p(j_i) - s_p(d))/(p - 1), with s_p
+    the base-p digit sum, and sum_i s_p(j_i) >= k = p^e, while
+    p^e <= d <= 2p^e - 3, from p^e >= floor(d/2) + 2, gives
+    s_p(d) = 1 + s_p(d - p^e) <= p^e - 2.  So Q_d/k times the k-th sum is
+    integral for every k.
+    """
+
+    @staticmethod
+    def _failing_degrees(variant, degree, q=lambda d: _lcm_to(d // 2 + 1)):
+        """The degrees d whose reduced denominator does not divide d! L^d q(d)."""
+        scale = engine._integer_form(variant.factors)[0]
+        failing = []
+        for term in series_terms(variant, degree):
+            d = term.degree
+            ints, den = term.to_dense()
+            if factorial(d) * scale**d * q(d) % (den // gcd(den, *ints)):
+                failing.append(d)
+        return failing
+
+    def test_every_preset_to_sixteen(self):
+        for name in PRESET_NAMES:
+            assert self._failing_degrees(preset(name), 16) == [], name
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_factor_tuples(self, seed):
+        assert self._failing_degrees(VariantPreset("random", _random_factors(seed)), 10) == []
+
+    def test_one_less_in_the_lcm_fails(self):
+        # lcm(1..floor(d/2)) misses the sum at k = floor(d/2) + 1 when that is prime
+        weaker = self._failing_degrees(preset("standard"), 13, q=lambda d: _lcm_to(d // 2))
+        assert weaker == [3, 5, 9, 13]
+
+
 # sha256 of repr([term._reduced() for term in series_terms(preset(name), N)]):
 # every coefficient's exact value.  At N 16 some slots of symmetric_sum_difference
 # exceed 64 bits, so the decode reads those slots again.  The other three

@@ -19,14 +19,14 @@ from bchseries import (
     expand_nested,
     is_lie_element,
     preset,
-    rewrite_identity_check,
     series_term,
     series_terms,
     word_parse,
 )
 from bchseries import forms, lie
 from bchseries.forms import CLAIMED_FORMS, check_form, check_forms
-from bchseries.lie import bracket_vector, expand_slots, format_comm_poly, is_lie_vector
+from bchseries.lie import bracket_vector, format_comm_poly, is_lie_vector
+from reference import expand_slots, rewrite_identity_check
 
 w = word_parse
 F = Fraction

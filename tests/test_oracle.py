@@ -10,24 +10,27 @@ from math import comb, factorial, lcm
 import pytest
 
 from bchseries import (
-    BlockSeq,
     Word,
     X,
     Y,
     all_words,
     bernoulli,
-    collapse,
     engine_coefficient,
     goldberg_direct,
-    goldberg_direct_naive,
     goldberg_xy,
-    goldberg_xy_images,
     word_coefficient,
     word_parse,
 )
 from bchseries import engine, oracle
 from bchseries.engine import PRESET_NAMES, VariantPreset, exp_factor, preset
-from bchseries.oracle import Block, enumerate_block_seqs
+from reference import (
+    Block,
+    BlockSeq,
+    collapse,
+    enumerate_block_seqs,
+    goldberg_direct_naive,
+    goldberg_xy_images,
+)
 
 w = word_parse
 F = Fraction
