@@ -325,6 +325,21 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             "tests/test_cli.py::TestVerify::test_properties_json",
         ),
     ),
+    # letter_occurrence_profile: a run stopping one letter before the end of
+    # the word matched without the other letter on its right
+    (
+        "census.py",
+        "if lo + k < n:",
+        "if lo + k <= n - 2:",
+        (f"{CENSUS}::TestOccurrenceProfile",),
+    ),
+    # letter_occurrence_profile: a run's left boundary without the other letter
+    (
+        "census.py",
+        "(pattern << 1) | other",
+        "(pattern << 1)",
+        (f"{CENSUS}::TestOccurrenceProfile",),
+    ),
     # goldberg_direct taking a Y-first word's boundaries as if it began with X
     (
         "oracle.py",
@@ -462,6 +477,34 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
             f"{ENGINE}::TestEngineCoefficient::test_examples",
             f"{ENGINE}::TestGoldenTerms::test_standard_degree_five",
         ),
+    ),
+    # word_coefficient: the log weights M/k without their sign (-1)^(k-1)
+    (
+        "engine.py",
+        "total += (m // k if k % 2 else -(m // k)) * slot",
+        "total += (m // k) * slot",
+        (f"{ENGINE}::TestEngineCoefficient",),
+    ),
+    # word_coefficient: a closed block added to every layer without its slot shift
+    (
+        "engine.py",
+        "closed = last[v] << width",
+        "closed = last[v]",
+        (f"{ENGINE}::TestEngineCoefficient",),
+    ),
+    # word_coefficient: a segment [p, v) weighed without comb(v, p)
+    (
+        "engine.py",
+        "acc += comb(v, p) * run * prev[p]",
+        "acc += run * prev[p]",
+        (f"{ENGINE}::TestEngineCoefficient",),
+    ),
+    # word_coefficient: a negative slot decoded by subtracting half the slot range
+    (
+        "engine.py",
+        "slot -= 1 << width",
+        "slot -= half",
+        (f"{ENGINE}::TestEngineCoefficient", f"{ENGINE}::TestHornerLogAgainstWordRoute"),
     ),
     # build_generator with its two letter weights swapped
     (

@@ -15,9 +15,6 @@ algebra.run_class_keys, one integer per word joined from two half tables.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
@@ -57,30 +54,6 @@ def census_sweep(max_n: int, variant: VariantPreset) -> list[CensusRecord]:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     terms = series_terms(variant, max_n)[1:]
     return [CensusRecord(term.degree, term.count, variant.name) for term in terms]
-
-
-_CENSUS_FIELDS = ("n", "count", "bound", "ratio_num", "ratio_den", "variant")
-
-
-def _census_rows(records: list[CensusRecord]) -> Iterator[tuple]:
-    """Each record's values in _CENSUS_FIELDS order; a record of bound 0 has the ratio 0/1."""
-    for r in records:
-        ratio = r.ratio if r.ratio is not None else Fraction(0)
-        yield r.n, r.count, r.bound, str(ratio.numerator), str(ratio.denominator), r.variant
-
-
-def census_to_csv(records: list[CensusRecord]) -> str:
-    """CSV with header n,count,bound,ratio_num,ratio_den,variant."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CENSUS_FIELDS)
-    writer.writerows(_census_rows(records))
-    return buffer.getvalue()
-
-
-def census_to_json(records: list[CensusRecord]) -> str:
-    rows = [dict(zip(_CENSUS_FIELDS, row)) for row in _census_rows(records)]
-    return json.dumps(rows, indent=2) + "\n"
 
 
 class CheckResult(NamedTuple):

@@ -1,4 +1,4 @@
-"""Command-line interface: series terms, single coefficients, census, verify.
+"""Command-line interface: series terms, word coefficients, census, letter profile, verify.
 
 All data is written to stdout and diagnostics to stderr.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on usage errors.  Output bytes are
@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Iterator
 import click
 
 from .algebra import Word, all_words, format_sum, word_format, word_parse, word_texts
-from .census import bound_checks, census_sweep, census_to_csv, census_to_json, property_sweep
+from .census import bound_checks, census_sweep, letter_occurrence_profile, property_sweep
 from .engine import (
     MAX_DEGREE,
     MAX_WORD_LENGTH,
@@ -168,6 +168,9 @@ def goldberg(word_text: str, variant: str, mode: str) -> None:
             sys.exit(1)
 
 
+_CENSUS_FIELDS = ("n", "count", "bound", "ratio_num", "ratio_den", "variant")
+
+
 @main.command()
 @_max_option
 @_variant_option
@@ -175,14 +178,40 @@ def goldberg(word_text: str, variant: str, mode: str) -> None:
 def census(max_n: int, variant: str, fmt: str) -> None:
     """Count non-zero coefficients per degree for n = 2..max."""
     records = census_sweep(max_n, preset(variant))
+    # --max >= 2, so every bound 2^n - 2 is positive and every ratio a Fraction;
+    # every field is an int or a preset name, so no CSV field needs quoting
+    rows = [
+        (r.n, r.count, r.bound, str(r.ratio.numerator), str(r.ratio.denominator), r.variant)
+        for r in records
+    ]
     if fmt == "csv":
-        click.echo(census_to_csv(records), nl=False)
+        click.echo("\n".join(",".join(map(str, row)) for row in [_CENSUS_FIELDS, *rows]))
     elif fmt == "json":
-        click.echo(census_to_json(records), nl=False)
+        click.echo(json.dumps([dict(zip(_CENSUS_FIELDS, row)) for row in rows], indent=2))
     else:
         click.echo(f"{'n':>3} {'count':>8} {'bound':>8} ratio")
         for r in records:
             click.echo(f"{r.n:>3} {r.count:>8} {r.bound:>8} {r.ratio}")
+
+
+@main.command()
+@click.option(
+    "--degree",
+    type=click.IntRange(min=1, max=MAX_DEGREE),
+    required=True,
+    help="Series degree.",
+)
+@_variant_option
+def profile(degree: int, variant: str) -> None:
+    """Print per-position letter counts and maximal-run histograms at one degree."""
+    p = letter_occurrence_profile(degree, preset(variant))
+    click.echo(f"variant={variant} degree={p.n}")
+    click.echo(f"non-zero words: {p.term_count}")
+    click.echo(f"X per position: {p.x_position_counts} (total {p.x_total})")
+    click.echo(f"Y per position: {p.y_position_counts} (total {p.y_total})")
+    click.echo(f"maximal X-run histogram: {p.x_run_histogram}")
+    click.echo(f"maximal Y-run histogram: {p.y_run_histogram}")
+    click.echo(f"run totals consistent with position totals: {p.consistent}")
 
 
 _STATUS = {True: "PASS", False: "FAIL"}

@@ -32,8 +32,6 @@ from bchseries.census import (
     BoundRow,
     CensusRecord,
     CheckResult,
-    census_to_csv,
-    census_to_json,
 )
 from bchseries.cli import main
 
@@ -291,22 +289,17 @@ class TestOccurrenceProfile:
 
 class TestSerialization:
     def test_csv_schema(self):
-        text = census_to_csv(census_sweep(4, preset("standard")))
-        lines = text.splitlines()
+        result = CliRunner().invoke(main, ["census", "--max", "4", "--format", "csv"])
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
         assert lines[0] == "n,count,bound,ratio_num,ratio_den,variant"
         assert lines[1] == "2,2,2,1,1,standard"
         assert lines[3] == "4,4,14,2,7,standard"
 
-    def test_degree_one_record_has_ratio_zero_over_one(self):
-        records = [census(1, preset("standard"))]
-        assert records[0].ratio is None
-        assert census_to_csv(records).endswith("\n1,2,0,0,1,standard\n")
-        (row,) = json.loads(census_to_json(records))
-        assert (row["ratio_num"], row["ratio_den"]) == ("0", "1")
-
     def test_json_schema(self):
-        text = census_to_json(census_sweep(3, preset("standard")))
-        rows = json.loads(text)
+        result = CliRunner().invoke(main, ["census", "--max", "3", "--format", "json"])
+        assert result.exit_code == 0
+        rows = json.loads(result.stdout)
         assert rows == [
             {
                 "n": 2,

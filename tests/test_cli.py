@@ -294,9 +294,49 @@ class TestCensus:
         assert rendered == result.output
 
     def test_output_is_deterministic(self):
-        first = run("census", "--max", "8", "--format", "csv").output
-        second = run("census", "--max", "8", "--format", "csv").output
-        assert first == second
+        for args in (("census", "--max", "8", "--format", "csv"), ("profile", "--degree", "8")):
+            assert run(*args).output == run(*args).output, args
+
+
+# (degree, variant) -> sha256 of `profile --degree <degree> --variant <variant>` stdout
+PROFILE_BYTES = {
+    (8, "standard"): "97209fe30334ad67922e8383a7225c56025d5134da7fe7a926a92930d4b4b8c2",
+    (13, "symmetric"): "b669204947fba13de14c5f0aa45fe3787d6eb16436ac3748efe85e14380b94ca",
+    (11, "loop"): "f6d13f7ef16567770414765c037fa6aaf806e77887a6c2241e07e07cd49ddac7",
+}
+
+
+class TestProfile:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--degree", "0"],
+            ["--degree", str(MAX_DEGREE + 1)],
+            ["--degree", "5", "--variant", "bogus"],
+        ],
+        ids=["degree-0", "degree-above-cap", "unknown-variant"],
+    )
+    def test_bad_argument_is_a_usage_error(self, args):
+        result = run("profile", *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Usage:" in result.stderr
+
+    def test_degree_one_runs(self):
+        assert run("profile", "--degree", "1").exit_code == 0
+
+    def test_degree_eight(self):
+        result = run("profile", "--degree", "8")
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["variant=standard degree=8", "non-zero words: 124"]
+        assert lines[-1] == "run totals consistent with position totals: True"
+
+    @pytest.mark.parametrize("degree, variant", sorted(PROFILE_BYTES))
+    def test_bytes(self, degree, variant):
+        result = run("profile", "--degree", str(degree), "--variant", variant)
+        assert result.exit_code == 0
+        assert sha256(result.stdout_bytes).hexdigest() == PROFILE_BYTES[degree, variant]
 
 
 class TestVerify:
