@@ -71,15 +71,6 @@ class Word(_WordFields):
         return tuple.__new__(cls, (length, bits))
 
     @classmethod
-    def from_letters(cls, letters: Iterable[Letter]) -> "Word":
-        bits = 0
-        n = 0
-        for letter in letters:
-            bits = (bits << 1) | int(letter)
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_runs(cls, runs: Iterable[tuple[Letter, int]]) -> "Word":
         bits = 0
         n = 0
@@ -92,15 +83,6 @@ class Word(_WordFields):
                 bits <<= mult
             n += mult
         return cls(n, bits)
-
-    def letter(self, i: int) -> Letter:
-        if not 0 <= i < self.length:
-            raise IndexError(f"letter index {i} out of range for length {self.length}")
-        return _LETTERS[(self.bits >> (self.length - 1 - i)) & 1]
-
-    def letters(self) -> Iterator[Letter]:
-        for i in range(self.length - 1, -1, -1):
-            yield _LETTERS[(self.bits >> i) & 1]
 
     def runs(self) -> tuple[tuple[Letter, int], ...]:
         """The maximal runs (letter, multiplicity), in order, one bit_length per run."""
@@ -122,9 +104,6 @@ class Word(_WordFields):
     @property
     def count_x(self) -> int:
         return self.length - self.bits.bit_count()
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.length + other.length, (self.bits << other.length) | other.bits)
 
     def __str__(self) -> str:
         return word_format(self)
@@ -265,30 +244,6 @@ def _joined_halves(
     return chain.from_iterable(blocks())
 
 
-def interchange(w: Word) -> Word:
-    """Flip every letter X <-> Y."""
-    return Word(w.length, w.bits ^ ((1 << w.length) - 1))
-
-
-def reverse(w: Word) -> Word:
-    """Reverse the order of the letters."""
-    bits = 0
-    src = w.bits
-    for _ in range(w.length):
-        bits = (bits << 1) | (src & 1)
-        src >>= 1
-    return Word(w.length, bits)
-
-
-def cyclic_shift(w: Word) -> Word:
-    """Move the first letter to the end: L1 L2 ... Ln -> L2 ... Ln L1."""
-    if w.length == 0:
-        raise ValueError("cyclic shift of the empty word is undefined")
-    top = 1 << (w.length - 1)
-    first = 1 if w.bits & top else 0
-    return Word(w.length, ((w.bits & (top - 1)) << 1) | first)
-
-
 def all_words(n: int) -> Iterator[Word]:
     """All 2^n words of length n, in lexicographic order with X < Y."""
     for bits in range(1 << n):
@@ -404,11 +359,6 @@ class FreePoly(WordSum):
         return _ONE_POLY
 
     @classmethod
-    def from_word(cls, w: Word, coeff: Coeff = 1) -> "FreePoly":
-        coeff = Fraction(coeff)
-        return cls._raw({w: coeff}) if coeff else _ZERO_POLY
-
-    @classmethod
     def from_letter(cls, letter: Letter) -> "FreePoly":
         return cls._raw({Word(1, int(letter)): _ONE})
 
@@ -459,16 +409,9 @@ class FreePoly(WordSum):
             return self.scale(other)
         return NotImplemented
 
-    def homogeneous(self, n: int) -> "FreePoly":
-        """The degree-n part: exactly the words of length n."""
-        return FreePoly._raw({w: c for w, c in self._terms.items() if w.length == n})
-
-    def degrees(self) -> set[int]:
-        return {w.length for w in self._terms}
-
     def homogeneous_degree(self) -> int | None:
         """The common word length, if the polynomial is homogeneous (zero -> 0)."""
-        degs = self.degrees()
+        degs = {w.length for w in self._terms}
         if not degs:
             return 0
         if len(degs) == 1:

@@ -41,13 +41,6 @@ class CensusRecord(NamedTuple):
         return Fraction(self.count, self.bound) if self.bound > 0 else None
 
 
-def census(n: int, variant: VariantPreset) -> CensusRecord:
-    """Count the words of length n with a non-zero coefficient."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return CensusRecord(n, series_terms(variant, n)[-1].count, variant.name)
-
-
 def census_sweep(max_n: int, variant: VariantPreset) -> list[CensusRecord]:
     """Census records for n = 2..max_n, from a single series run."""
     if max_n < 2:
@@ -247,17 +240,9 @@ class BoundRow(NamedTuple):
         )
 
 
-class BoundReport(NamedTuple):
-    rows: list[BoundRow]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def bound_checks(max_n: int) -> BoundReport:
+def bound_checks(max_n: int) -> list[BoundRow]:
     """The bound rows of the standard series for n = 2..max_n."""
-    return BoundReport([BoundRow(r.n, r.count) for r in census_sweep(max_n, PRESETS["standard"])])
+    return [BoundRow(r.n, r.count) for r in census_sweep(max_n, PRESETS["standard"])]
 
 
 class OccurrenceProfile(NamedTuple):
@@ -290,7 +275,7 @@ class OccurrenceProfile(NamedTuple):
         return weighted_x == self.x_total and weighted_y == self.y_total
 
 
-def letter_occurrence_profile(n: int, variant: VariantPreset | None = None) -> OccurrenceProfile:
+def letter_occurrence_profile(n: int, variant: VariantPreset) -> OccurrenceProfile:
     """Per-position letter counts and maximal-run histograms at degree n.
 
     The counts read the term's non-zero marks, where letter i of Word(n, bits)
@@ -300,7 +285,6 @@ def letter_occurrence_profile(n: int, variant: VariantPreset | None = None) -> O
     such a pattern: its letters, bounded by the other letter on each side
     that is not an end of the word.
     """
-    variant = variant if variant is not None else PRESETS["standard"]
     by_prefix = [series_terms(variant, n)[-1].marks()]
     for _ in range(n):
         level = by_prefix[-1]

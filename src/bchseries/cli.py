@@ -239,7 +239,7 @@ def _property_rows(max_n: int) -> Iterator[Row]:
 
 
 def _bound_rows(max_n: int) -> Iterator[Row]:
-    for row in bound_checks(max_n).rows:
+    for row in bound_checks(max_n):
         notes = []
         if row.prime:
             notes.append(f"prime, saturated={row.prime_saturated}")

@@ -9,7 +9,7 @@ pass the Lie-element test.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .algebra import FreePoly
 from .engine import preset, series_term
@@ -113,8 +113,5 @@ def check_form(form: ClaimedForm) -> FormVerdict:
     )
 
 
-def check_forms(max_degree: int | None = None) -> list[FormVerdict]:
-    forms: Iterable[ClaimedForm] = CLAIMED_FORMS
-    if max_degree is not None:
-        forms = (f for f in CLAIMED_FORMS if f.degree <= max_degree)
-    return [check_form(f) for f in forms]
+def check_forms(max_degree: int) -> list[FormVerdict]:
+    return [check_form(f) for f in CLAIMED_FORMS if f.degree <= max_degree]

@@ -35,6 +35,10 @@ The rewrite check.  rewrite_identity_check tests
 [X,[Y,z]] = [Y,[X,z]] + [[X,Y],z] with z = [w2], bracketed with the letters
 of w1.  It looks up lie.expand_nested through the module on every call, so
 a test that replaces that function checks the replacement.
+
+The word maps.  letters, interchange, reverse and cyclic_shift read or move
+the letters of one word; the tests use them as references for the bit
+operations that census and engine code applies to whole degrees.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from bchseries import lie
-from bchseries.algebra import FreePoly, Word, X, Y, word_parse
+from bchseries.algebra import FreePoly, Letter, Word, X, Y, word_parse
 from bchseries.oracle import goldberg_xy
 
 Block = tuple[int, int]
@@ -164,8 +168,32 @@ def rewrite_identity_check(w1: Word, w2: Word) -> bool:
         raise ValueError("the rewrite identity needs a non-empty w2")
     x = FreePoly.from_letter(X)
     y = FreePoly.from_letter(Y)
-    head = [FreePoly.from_letter(letter) for letter in w1.letters()]
-    lhs = lie.expand_nested(w1.concat(word_parse("XY")).concat(w2))
-    swapped = lie.expand_nested(w1.concat(word_parse("YX")).concat(w2))
+    head = [FreePoly.from_letter(letter) for letter in letters(w1)]
+    lhs = lie.expand_nested(word_parse(f"{w1}XY{w2}"))
+    swapped = lie.expand_nested(word_parse(f"{w1}YX{w2}"))
     bracketed = expand_slots(head + [x * y - y * x, lie.expand_nested(w2)])
     return lhs == swapped + bracketed
+
+
+def letters(w: Word) -> Iterator[Letter]:
+    """The letters of w, first to last."""
+    for i in range(w.length - 1, -1, -1):
+        yield Letter((w.bits >> i) & 1)
+
+
+def interchange(w: Word) -> Word:
+    """Flip every letter X <-> Y."""
+    return Word(w.length, w.bits ^ ((1 << w.length) - 1))
+
+
+def reverse(w: Word) -> Word:
+    """Reverse the order of the letters."""
+    return Word.from_runs((letter, 1) for letter in reversed(list(letters(w))))
+
+
+def cyclic_shift(w: Word) -> Word:
+    """Move the first letter to the end: L1 L2 ... Ln -> L2 ... Ln L1."""
+    if w.length == 0:
+        raise ValueError("cyclic shift of the empty word is undefined")
+    n = w.length
+    return Word(n, ((w.bits << 1) | (w.bits >> (n - 1))) & ((1 << n) - 1))

@@ -14,9 +14,7 @@ from bchseries import (
     SeriesTerm,
     all_words,
     bound_checks,
-    census,
     census_sweep,
-    cyclic_shift,
     engine_coefficient,
     goldberg_direct,
     letter_occurrence_profile,
@@ -34,6 +32,7 @@ from bchseries.census import (
     CheckResult,
 )
 from bchseries.cli import main
+from reference import cyclic_shift, letters
 
 w = word_parse
 F = Fraction
@@ -45,15 +44,16 @@ SYMMETRIC_COUNTS = {3: 6, 5: 30, 7: 126, 9: 435}
 
 class TestCensus:
     def test_degree_five(self):
-        record = census(5, preset("standard"))
-        assert (record.count, record.bound, record.ratio) == (30, 30, F(1))
+        record = census_sweep(5, preset("standard"))[-1]
+        assert (record.n, record.count, record.bound, record.ratio) == (5, 30, 30, F(1))
 
     def test_degree_eight(self):
-        record = census(8, preset("standard"))
-        assert (record.count, record.bound, record.ratio) == (124, 254, F(62, 127))
+        record = census_sweep(8, preset("standard"))[-1]
+        assert (record.n, record.count, record.bound, record.ratio) == (8, 124, 254, F(62, 127))
 
     def test_symmetric_degree_nine(self):
-        record = census(9, preset("symmetric"))
+        record = census_sweep(9, preset("symmetric"))[-1]
+        assert (record.n, record.variant) == (9, "symmetric")
         assert record.count == 435
         assert record.ratio == F(29, 34)
 
@@ -63,21 +63,21 @@ class TestCensus:
             assert records[n].count == count
 
     def test_degree_one_has_no_ratio(self):
-        record = census(1, preset("standard"))
-        assert record.count == 2
+        # census_sweep starts at degree 2; the degree-1 term is X + Y
+        assert series_terms(preset("standard"), 1)[0].count == 2
+        record = CensusRecord(1, 2, "standard")
         assert record.bound == 0
         assert record.ratio is None
 
     def test_census_matches_direct_sum_to_degree_eight(self):
-        for n in range(2, 9):
-            expected = sum(1 for word in all_words(n) if goldberg_direct(word) != 0)
-            assert census(n, preset("standard")).count == expected
+        for record in census_sweep(8, preset("standard")):
+            expected = sum(1 for word in all_words(record.n) if goldberg_direct(word) != 0)
+            assert record.count == expected
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            census(0, preset("standard"))
-        with pytest.raises(ValueError):
-            census_sweep(1, preset("standard"))
+        for max_n in (0, 1):
+            with pytest.raises(ValueError):
+                census_sweep(max_n, preset("standard"))
 
     def test_desk_scale_degrees_fourteen_to_seventeen(self):
         # about 0.3 s with the graded-series core; the degree-15 count was
@@ -179,8 +179,9 @@ class TestPropertySuite:
 class TestBoundChecks:
     def test_to_degree_ten(self):
         report = bound_checks(10)
-        assert report.ok
-        rows = {row.n: row for row in report.rows}
+        assert [row.n for row in report] == list(range(2, 11))
+        assert all(row.ok for row in report)
+        rows = {row.n: row for row in report}
         for p in (2, 3, 5, 7):
             assert rows[p].prime and rows[p].prime_saturated
         for n in (4, 6, 8):
@@ -191,8 +192,8 @@ class TestBoundChecks:
         assert not rows[10].even_saturation_expected
 
     def test_composite_odd_rows_have_no_bound_fields(self):
-        report = bound_checks(9)
-        row9 = next(row for row in report.rows if row.n == 9)
+        row9 = bound_checks(9)[-1]
+        assert row9.n == 9
         assert not row9.prime
         assert row9.even_bound is None
 
@@ -241,7 +242,7 @@ class TestBoundChecks:
 
 class TestOccurrenceProfile:
     def test_degree_two(self):
-        profile = letter_occurrence_profile(2)
+        profile = letter_occurrence_profile(2, preset("standard"))
         assert profile.term_count == 2
         assert profile.x_position_counts == (1, 1)
         assert profile.y_position_counts == (1, 1)
@@ -249,7 +250,7 @@ class TestOccurrenceProfile:
         assert profile.consistent
 
     def test_degree_seven(self):
-        profile = letter_occurrence_profile(7)
+        profile = letter_occurrence_profile(7, preset("standard"))
         assert profile.term_count == 126
         assert profile.x_position_counts == (63,) * 7
         assert profile.y_position_counts == (63,) * 7
@@ -260,7 +261,7 @@ class TestOccurrenceProfile:
         assert profile.x_total == 63 * 7
 
     def test_degree_eight(self):
-        profile = letter_occurrence_profile(8)
+        profile = letter_occurrence_profile(8, preset("standard"))
         assert profile.term_count == 124
         assert profile.x_position_counts == (62,) * 8
         assert profile.x_run_histogram == {1: 158, 2: 72, 3: 32, 4: 14, 5: 6, 6: 2}
@@ -275,7 +276,7 @@ class TestOccurrenceProfile:
             positions = ([0] * n, [0] * n)  # indexed by the letter, X = 0 and Y = 1
             histograms: tuple[dict[int, int], dict[int, int]] = ({}, {})
             for word in words:
-                for i, letter in enumerate(word.letters()):
+                for i, letter in enumerate(letters(word)):
                     positions[letter][i] += 1
                 for letter, mult in word.runs():
                     histograms[letter][mult] = histograms[letter].get(mult, 0) + 1

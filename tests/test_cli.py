@@ -453,7 +453,7 @@ class TestDecodes:
         assert decoded == []
 
     def test_the_letter_profile_decodes_nothing(self, decoded):
-        assert letter_occurrence_profile(8).term_count == 124
+        assert letter_occurrence_profile(8, preset("standard")).term_count == 124
         assert decoded == []
 
     @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from bchseries import (
     engine_coefficient,
     generator_combination,
     goldberg_direct,
-    interchange,
     nilpotent_exp,
     nilpotent_log,
     preset,
@@ -46,6 +45,7 @@ from bchseries.engine import (
     product_matrix,
 )
 from conftest import small_fractions, spec_terms, strictly_upper_matrices
+from reference import interchange, letters
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -405,7 +405,7 @@ def substitute(body: FreePoly, image_x: FreePoly, image_y: FreePoly) -> FreePoly
     total = FreePoly.zero()
     for word, coeff in body.items():
         product = FreePoly.one()
-        for letter in word.letters():
+        for letter in letters(word):
             product = product * (image_x if letter == X else image_y)
         total = total + product.scale(coeff)
     return total
